@@ -141,10 +141,10 @@ class RatingPanel:
             raise ValidationError(f"panel has ratings for unknown cells: {sorted(extra)}")
 
     def _check_cell(self, bid: str, eid: str, cell: TriangularFuzzyNumber) -> None:
-        loc = f"({bid}, {eid})"
         if not cell.is_nonnegative:
-            raise ValidationError(f"rating {loc} = {cell} has negative components")
+            raise ValidationError(f"rating ({bid}, {eid}) = {cell} has negative components")
         if not cell.is_monotone:
+            loc = f"({bid}, {eid})"
             if self.mode is ValidationMode.STRICT:
                 raise ValidationError(f"rating {loc} = {cell} is not ordered l <= m <= u")
             self.warnings.append(

@@ -124,10 +124,12 @@ def validate_cells(
     Stages run in a fixed order; strict mode raises at the first offending
     cell, lenient mode returns one warning per violation. Pairs whose forward
     cell has a nonpositive component cannot be reciprocity-checked and are
-    reported as such.
+    reported as such; a forward cell whose reciprocal overflows raises in
+    both modes.
     """
     ids = [c.id for c in criteria]
     n = len(ids)
+    tol = RECIPROCITY_TOLERANCE
     warnings: list[ValidationWarning] = []
 
     def offend(code: str, location: str, message: str) -> None:
@@ -135,14 +137,13 @@ def validate_cells(
             raise ValidationError(f"{location}: {message}")
         warnings.append(ValidationWarning(code, location, message))
 
-    for i in range(n):
-        for j in range(n):
-            t = cells[i][j]
-            if not t.is_monotone:
+    for i, row in enumerate(cells):
+        for j, (l, m, u) in enumerate(row):
+            if not l <= m <= u:
                 offend(
                     "non_monotone",
                     f"({ids[i]},{ids[j]})",
-                    f"cell {t} is not ordered l <= m <= u",
+                    f"cell {row[j]} is not ordered l <= m <= u",
                 )
     for i in range(n):
         if cells[i][i] != UNIT_TFN:
@@ -152,28 +153,31 @@ def validate_cells(
                 f"diagonal cell is {cells[i][i]}, expected (1, 1, 1)",
             )
     for i in range(n):
+        row = cells[i]
         for j in range(i + 1, n):
-            fwd = cells[i][j]
-            back = cells[j][i]
-            pair = f"({ids[i]},{ids[j]})/({ids[j]},{ids[i]})"
-            if min(fwd.as_tuple()) <= 0 or min(back.as_tuple()) <= 0:
+            fl, fm, fu = fwd = row[j]
+            bl, bm, bu = back = cells[j][i]
+            if fl <= 0 or fm <= 0 or fu <= 0 or bl <= 0 or bm <= 0 or bu <= 0:
                 offend(
                     "nonpositive_component",
-                    pair,
+                    f"({ids[i]},{ids[j]})/({ids[j]},{ids[i]})",
                     "cells must be strictly positive to check reciprocity",
                 )
                 continue
-            expected = tfn_reciprocal(fwd)
-            rel = max(
-                abs(b - e) / e for b, e in zip(back.as_tuple(), expected.as_tuple())
+            el, em, eu = 1.0 / fu, 1.0 / fm, 1.0 / fl
+            rl, rm, ru = abs(bl - el) / el, abs(bm - em) / em, abs(bu - eu) / eu
+            if rl <= tol and rm <= tol and ru <= tol:
+                continue
+            pair = f"({ids[i]},{ids[j]})/({ids[j]},{ids[i]})"
+            if math.inf in (el, em, eu):
+                # 1/x overflowed: inf/inf is nan, which no tolerance test flags
+                raise ValidationError(f"{pair}: reciprocal of {fwd} overflows")
+            offend(
+                "reciprocity_breach",
+                pair,
+                f"{back} deviates from reciprocal {TFN(el, em, eu)} of {fwd} "
+                f"by {max(rl, rm, ru):.1%} (tolerance {tol:.0%})",
             )
-            if rel > RECIPROCITY_TOLERANCE:
-                offend(
-                    "reciprocity_breach",
-                    pair,
-                    f"{back} deviates from reciprocal {expected} of {fwd} "
-                    f"by {rel:.1%} (tolerance {RECIPROCITY_TOLERANCE:.0%})",
-                )
     return warnings
 
 
@@ -213,7 +217,12 @@ def build_matrix(
     for i in range(n):
         for j in range(n):
             if grid[i][j] is None and grid[j][i] is not None:
-                grid[i][j] = tfn_reciprocal(grid[j][i])  # type: ignore[arg-type]
+                try:
+                    grid[i][j] = tfn_reciprocal(grid[j][i])  # type: ignore[arg-type]
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"auto-fill of ({ids[i]},{ids[j]}) from ({ids[j]},{ids[i]}): {exc}"
+                    ) from None
     missing = [
         f"({ids[i]},{ids[j]})" for i in range(n) for j in range(n) if grid[i][j] is None
     ]
@@ -224,16 +233,7 @@ def build_matrix(
 
 def row_geometric_means(m: PairwiseMatrix) -> list[TriangularFuzzyNumber]:
     """Componentwise geometric mean of each row."""
-    out = []
-    for row in m.cells:
-        out.append(
-            TFN(
-                geometric_mean([t.l for t in row]),
-                geometric_mean([t.m for t in row]),
-                geometric_mean([t.u for t in row]),
-            )
-        )
-    return out
+    return [TFN(*map(geometric_mean, zip(*row))) for row in m.cells]
 
 
 def fuzzy_weights(
@@ -247,12 +247,8 @@ def fuzzy_weights(
     """
     if not r:
         raise ValidationError("no row geometric means to weight")
-    total = TFN(
-        math.fsum(t.l for t in r),
-        math.fsum(t.m for t in r),
-        math.fsum(t.u for t in r),
-    )
-    if min(total.as_tuple()) <= 0:
+    total = TFN(*map(math.fsum, zip(*r)))
+    if min(total) <= 0:
         raise ValidationError(f"weight normalization requires positive totals, got {total}")
     inverse = tfn_total_inverse(total)
     weights = [tfn_multiply(t, inverse) for t in r]

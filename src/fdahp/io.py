@@ -87,17 +87,11 @@ def read_ratings_csv(
             )
         if integer_path and scale is None:
             scale = get_scale("delphi-10")
-        barriers: list[str] = []
-        experts: list[str] = []
         grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
         for line, rec in enumerate(reader, start=2):
             if any(rec.get(k) in (None, "") for k in header):
                 raise ValidationError(f"{path} line {line}: incomplete row {rec}")
             bid, eid = rec["barrier_id"], rec["expert_id"]
-            if bid not in barriers:
-                barriers.append(bid)
-            if eid not in experts:
-                experts.append(eid)
             if (bid, eid) in grid:
                 raise ValidationError(f"{path} line {line}: duplicate rating for ({bid}, {eid})")
             if integer_path:
@@ -116,7 +110,10 @@ def read_ratings_csv(
                 grid[(bid, eid)] = _parse_tfn_fields(path, line, rec)
     if not grid:
         raise ValidationError(f"{path}: no rating rows")
-    return RatingPanel(tuple(Barrier(b) for b in barriers), tuple(experts), grid, mode)
+    # grid keys are in row order, so these keep each id's first-seen position
+    barriers = dict.fromkeys(bid for bid, _ in grid)
+    experts = dict.fromkeys(eid for _, eid in grid)
+    return RatingPanel(tuple(map(Barrier, barriers)), tuple(experts), grid, mode)
 
 
 def _parse_barrier_list(items: Sequence[Any]) -> list[Barrier]:
@@ -194,19 +191,15 @@ def read_matrix_csv(
                 f"{path} line 1: unexpected matrix header {reader.fieldnames}; "
                 f"expected {MATRIX_HEADER}"
             )
-        criteria: list[str] = []
         entries: list[tuple[str, str, TriangularFuzzyNumber]] = []
         for line, rec in enumerate(reader, start=2):
             if any(rec.get(k) in (None, "") for k in MATRIX_HEADER):
                 raise ValidationError(f"{path} line {line}: incomplete row {rec}")
-            rid, cid = rec["row_id"], rec["col_id"]
-            for x in (rid, cid):
-                if x not in criteria:
-                    criteria.append(x)
-            entries.append((rid, cid, _parse_tfn_fields(path, line, rec)))
+            entries.append((rec["row_id"], rec["col_id"], _parse_tfn_fields(path, line, rec)))
     if not entries:
         raise ValidationError(f"{path}: no matrix rows")
-    return build_matrix(entries, criteria, mode)
+    criteria = dict.fromkeys(x for rid, cid, _ in entries for x in (rid, cid))
+    return build_matrix(entries, list(criteria), mode)
 
 
 def read_matrix_json(

@@ -7,6 +7,7 @@ Every fuzzy quantity in the Delphi and AHP pipelines is carried as a TFN.
 from __future__ import annotations
 
 import math
+from collections import namedtuple
 from dataclasses import dataclass
 from enum import Enum
 from typing import Iterable, Sequence
@@ -42,31 +43,44 @@ class ValidationWarning:
         return f"[{self.code}] {self.location}: {self.message}"
 
 
-@dataclass(frozen=True)
-class TriangularFuzzyNumber:
-    """Ordered triple (l, m, u). All components must be finite.
+def _component(name: str, v: object) -> float:
+    if isinstance(v, bool) or not isinstance(v, (int, float)):
+        raise ValidationError(f"TFN component {name} must be a real number, got {v!r}")
+    v = float(v)
+    if not math.isfinite(v):
+        raise ValidationError(f"TFN component {name} must be finite, got {v!r}")
+    return v
+
+
+class TriangularFuzzyNumber(namedtuple("TriangularFuzzyNumber", "l m u")):
+    """Immutable float triple (l, m, u). All components must be finite.
+
+    A tuple subclass: it unpacks, indexes, hashes and compares like the plain
+    tuple of its floats, so hot loops read components with `l, m, u = t`.
+    Ints are coerced to float; bools, other types and non-finite values raise.
 
     Monotonicity (l <= m <= u) is a contextual requirement: containers enforce
     it per their validation mode, so a lenient container can hold a raw
     non-monotone triple exactly as supplied.
     """
 
-    l: float
-    m: float
-    u: float
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        for name in ("l", "m", "u"):
-            v = getattr(self, name)
-            if type(v) is not float:
-                if isinstance(v, bool) or not isinstance(v, (int, float)):
-                    raise ValidationError(
-                        f"TFN component {name} must be a real number, got {v!r}"
-                    )
-                v = float(v)
-                object.__setattr__(self, name, v)
-            if not math.isfinite(v):
-                raise ValidationError(f"TFN component {name} must be finite, got {v!r}")
+    def __new__(cls, l: float, m: float, u: float) -> "TriangularFuzzyNumber":
+        # a float sum is finite only if every term is; else check one by one
+        if not (type(l) is type(m) is type(u) is float and math.isfinite(l + m + u)):
+            l, m, u = map(_component, "lmu", (l, m, u))
+        return tuple.__new__(cls, (l, m, u))
+
+    @classmethod
+    def _make(cls, iterable: Iterable[float]) -> "TriangularFuzzyNumber":
+        # namedtuple's _make and _replace would otherwise skip validation
+        return cls(*iterable)
+
+    def __add__(self, other: object) -> "TriangularFuzzyNumber":
+        return NotImplemented  # tuple + and * would concatenate or repeat components
+
+    __mul__ = __rmul__ = __add__
 
     @property
     def is_monotone(self) -> bool:
@@ -77,7 +91,7 @@ class TriangularFuzzyNumber:
         return self.l >= 0 and self.m >= 0 and self.u >= 0
 
     def as_tuple(self) -> tuple[float, float, float]:
-        return (self.l, self.m, self.u)
+        return tuple(self)
 
     def __str__(self) -> str:
         return f"({self.l:g}, {self.m:g}, {self.u:g})"
@@ -125,9 +139,10 @@ def tfn_multiply(a: TFN, b: TFN) -> TFN:
 
 def tfn_reciprocal(t: TFN) -> TFN:
     """Reciprocal (1/u, 1/m, 1/l); order reversed so the result stays a valid TFN."""
-    if t.l <= 0 or t.m <= 0 or t.u <= 0:
+    l, m, u = t
+    if l <= 0 or m <= 0 or u <= 0:
         raise ValidationError(f"TFN reciprocal requires strictly positive components, got {t}")
-    return TFN(1.0 / t.u, 1.0 / t.m, 1.0 / t.l)
+    return TFN(1.0 / u, 1.0 / m, 1.0 / l)
 
 
 def tfn_total_inverse(total: TFN) -> TFN:
@@ -147,18 +162,19 @@ def geometric_mean(values: Sequence[float]) -> float:
     independent of input order bit-for-bit. The result is clamped to
     [min(values), max(values)] to absorb exp/log rounding at the boundary.
     """
-    vals = [float(v) for v in values]
+    vals = list(map(float, values))
     if not vals:
         raise ValidationError("geometric mean of an empty sequence")
-    for v in vals:
-        if v < 0:
-            raise ValidationError(f"geometric mean requires nonnegative values, got {v}")
+    lo, hi = min(vals), max(vals)
+    if lo < 0:
+        first = next(v for v in vals if v < 0)
+        raise ValidationError(f"geometric mean requires nonnegative values, got {first}")
     if len(vals) == 1:
         return vals[0]
-    if any(v == 0.0 for v in vals):
+    if lo == 0.0:
         return 0.0
     g = math.exp(math.fsum(map(math.log, vals)) / len(vals))
-    return min(max(g, min(vals)), max(vals))
+    return min(max(g, lo), hi)
 
 
 def aggregate_min_geo_max(opinions: Iterable[TFN]) -> TFN:
@@ -166,13 +182,11 @@ def aggregate_min_geo_max(opinions: Iterable[TFN]) -> TFN:
     ops = list(opinions)
     if not ops:
         raise ValidationError("cannot aggregate an empty panel")
-    return TFN(
-        min(o.l for o in ops),
-        geometric_mean([o.m for o in ops]),
-        max(o.u for o in ops),
-    )
+    ls, ms, us = zip(*ops)
+    return TFN(min(ls), geometric_mean(ms), max(us))
 
 
 def centroid_defuzzify(t: TFN) -> float:
     """Center-of-gravity defuzzification: (l + m + u) / 3."""
-    return (t.l + t.m + t.u) / 3.0
+    l, m, u = t
+    return (l + m + u) / 3.0

@@ -114,6 +114,13 @@ class TestRank:
         assert code == 2
         assert "(B8,B4)" in err
 
+    def test_failed_autofill_exits_2_naming_the_cell(self, capsys, tmp_path):
+        f = tmp_path / "zero.csv"
+        f.write_text("row_id,col_id,l,m,u\nA,B,0,1,2\n", encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
+        assert (code, out) == (2, "")
+        assert "auto-fill of (B,A) from (A,B)" in err
+
     def test_json_matrix_uses_its_own_mode(self, capsys, exported):
         code, out, _ = run(
             capsys, ["rank", "--matrix", str(exported / "fahp_matrix.json")]

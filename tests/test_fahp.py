@@ -116,6 +116,14 @@ class TestValidate:
         )
         assert [w.code for w in lenient.warnings] == ["non_unit_diagonal"]
 
+    @pytest.mark.parametrize("mode", list(ValidationMode))
+    def test_overflowing_reciprocal_raises_located(self, mode):
+        # 1/1e-310 is inf, and a nan ratio would pass any tolerance test
+        tiny, unit = TFN(1e-310, 1e-310, 1e-310), TFN(1, 1, 1)
+        with pytest.raises(ValidationError) as exc:
+            PairwiseMatrix(("A", "B"), ((unit, tiny), (unit, unit)), mode)
+        assert str(exc.value) == "(A,B)/(B,A): reciprocal of (1e-310, 1e-310, 1e-310) overflows"
+
     def test_shape_mismatch(self):
         with pytest.raises(ValidationError):
             PairwiseMatrix((Barrier("A"), Barrier("B")), ((TFN(1, 1, 1),),))
@@ -145,6 +153,19 @@ class TestBuildMatrix:
     def test_incomplete_after_autofill(self):
         with pytest.raises(ValidationError, match="incomplete"):
             build_matrix([("A", "B", TFN(1, 2, 3))], ["A", "B", "C"])
+
+    @pytest.mark.parametrize("mode", list(ValidationMode))
+    @pytest.mark.parametrize(
+        "cell, cause",
+        [
+            (TFN(0, 1, 2), "TFN reciprocal requires strictly positive components, got (0, 1, 2)"),
+            (TFN(1e-310, 1, 2), "TFN component u must be finite, got inf"),
+        ],
+    )
+    def test_failed_autofill_names_the_cell(self, cell, cause, mode):
+        with pytest.raises(ValidationError) as exc:
+            build_matrix([("A", "B", cell)], ["A", "B"], mode)
+        assert str(exc.value) == f"auto-fill of (B,A) from (A,B): {cause}"
 
     def test_explicit_cells_never_overwritten(self):
         m = build_matrix(

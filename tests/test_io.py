@@ -81,6 +81,18 @@ class TestRatingsCsv:
         with pytest.raises(ValidationError, match="duplicate"):
             read_ratings(p)
 
+    def test_ids_keep_first_seen_order(self, tmp_path):
+        p = write(
+            tmp_path,
+            "r.csv",
+            "barrier_id,expert_id,rating\n"
+            "B2,E2,5\nB1,E2,6\nB2,E1,7\nB3,E1,5\nB1,E1,4\nB3,E2,5\n",
+        )
+        panel = read_ratings(p)
+        assert panel.barrier_ids == ["B2", "B1", "B3"]
+        assert panel.experts == ("E2", "E1")
+        assert panel.row("B1") == (TFN(5, 6, 7), TFN(3, 4, 5))
+
     def test_incomplete_grid(self, tmp_path):
         p = write(
             tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,E1,5\nB,E2,6\n"
@@ -158,6 +170,13 @@ class TestMatrixFiles:
         m = read_matrix(p)
         assert m.ids == ["A", "B"]
         assert m.cell("B", "A").as_tuple() == pytest.approx((0.25, 1 / 3, 0.5))
+
+    def test_csv_criteria_keep_first_seen_order(self, tmp_path):
+        p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nC,A,2,3,4\nB,C,1,1,1\nA,B,1,2,3\n")
+        m = read_matrix(p)
+        assert m.ids == ["C", "A", "B"]
+        assert m.cell("C", "A") == TFN(2, 3, 4)
+        assert m.cell("B", "A") == TFN(1 / 3, 0.5, 1.0)
 
     def test_csv_bad_header(self, tmp_path):
         p = write(tmp_path, "m.csv", "a,b,c\n1,2,3\n")

@@ -4,7 +4,9 @@ Derived expected values are computed inline through an independent route
 (decimal/fraction arithmetic or direct exponentiation), never through the
 functions under test.
 """
+import copy
 import math
+import pickle
 from decimal import Decimal
 from fractions import Fraction
 
@@ -30,6 +32,43 @@ def test_tfn_rejects_non_finite():
         TFN(0.0, float("nan"), 1.0)
     with pytest.raises(ValidationError):
         TFN(0.0, 1.0, float("inf"))
+
+
+@pytest.mark.parametrize(
+    "components, message",
+    [
+        ((True, 1, 2), "component l must be a real number, got True"),
+        ((0, "1", 2), "component m must be a real number, got '1'"),
+        ((0, 1, float("nan")), "component u must be finite, got nan"),
+        ((float("-inf"), 1, 2), "component l must be finite, got -inf"),
+    ],
+)
+def test_tfn_rejects_bad_components(components, message):
+    with pytest.raises(ValidationError, match=message):
+        TFN(*components)
+
+
+def test_tfn_is_an_immutable_float_triple():
+    t = TFN(1, 2, 3)
+    assert [type(x) for x in t] == [float, float, float]
+    assert repr(t) == "TriangularFuzzyNumber(l=1.0, m=2.0, u=3.0)"
+    assert hash(t) == hash((1.0, 2.0, 3.0))
+    assert t == (1.0, 2.0, 3.0)
+    with pytest.raises(AttributeError):
+        t.l = 5.0
+    for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+        back = pickle.loads(pickle.dumps(t, protocol))
+        assert back == t and type(back) is TFN
+    assert copy.deepcopy(t) == t and type(copy.deepcopy(t)) is TFN
+    with pytest.raises(ValidationError, match="component m must be finite"):
+        t._replace(m=float("nan"))
+
+
+def test_tfn_has_no_tuple_concatenation_or_repetition():
+    t = TFN(1, 2, 3)
+    for op in (lambda: t + t, lambda: t + (1.0,), lambda: 2 * t, lambda: t * 2):
+        with pytest.raises(TypeError):
+            op()
 
 
 def test_tfn_holds_non_monotone_triples():
