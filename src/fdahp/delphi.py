@@ -130,14 +130,20 @@ class RatingPanel:
             raise ValidationError("barrier ids must be unique")
         if len(set(self.experts)) != len(self.experts):
             raise ValidationError("expert ids must be unique")
+        ratings, experts = self.ratings, self.experts
         for bid in ids:
-            for eid in self.experts:
-                cell = self.ratings.get((bid, eid))
-                if cell is None:
-                    raise ValidationError(f"panel is missing the rating for ({bid}, {eid})")
-                self._check_cell(bid, eid, cell)
-        extra = set(self.ratings) - {(b, e) for b in ids for e in self.experts}
-        if extra:
+            for eid in experts:
+                cell = ratings.get((bid, eid))
+                if not isinstance(cell, TriangularFuzzyNumber):
+                    if cell is None:
+                        raise ValidationError(f"panel is missing the rating for ({bid}, {eid})")
+                    raise ValidationError(f"rating ({bid}, {eid}) = {cell!r} is not a TFN")
+                l, m, u = cell
+                if not 0 <= l <= m <= u:
+                    self._check_cell(bid, eid, cell)
+        # every expected cell is present, so any other key makes the dict larger
+        if len(ratings) != len(ids) * len(experts):
+            extra = set(ratings) - {(b, e) for b in ids for e in experts}
             raise ValidationError(f"panel has ratings for unknown cells: {sorted(extra)}")
 
     def _check_cell(self, bid: str, eid: str, cell: TriangularFuzzyNumber) -> None:

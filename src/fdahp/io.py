@@ -5,6 +5,15 @@ CSV schemas (UTF-8, one cell per row):
   ratings, triple path:   barrier_id,expert_id,l,m,u
   matrix:                 row_id,col_id,l,m,u   (diagonal/reciprocals optional)
 
+CSV input is UTF-8 with an optional byte-order mark, as Excel's "CSV UTF-8"
+writes it. Excel pads every row of a wider sheet with trailing commas, so
+trailing empty fields are ignored on every line, the header included. The
+rest of the header must match exactly; blank lines are skipped. Every field
+named by the header must be non-empty. A non-empty field beyond the header is
+an error, never silently dropped. Error messages give the physical line of
+the file (for a quoted field that spans lines, the line on which its row
+ends).
+
 JSON schemas:
   ratings: {"scale": ..., "barriers": [...], "experts": [...],
             "ratings": [{"barrier_id", "expert_id", "rating"|"tfn"}]}
@@ -17,10 +26,11 @@ from __future__ import annotations
 
 import csv
 import json
+from itertools import zip_longest
 from pathlib import Path
-from typing import Any, Sequence
+from typing import Any, Iterator, Sequence, TextIO
 
-from .delphi import Barrier, LinguisticScale, RatingPanel, encode_rating, get_scale
+from .delphi import Barrier, LinguisticScale, RatingPanel, get_scale
 from .errors import ValidationError
 from .fahp import PairwiseMatrix, build_matrix
 from .tfn import TFN, TriangularFuzzyNumber, ValidationMode
@@ -43,17 +53,77 @@ def detect_format(path: str | Path, explicit: str | None = None) -> str:
     raise ValidationError(f"cannot infer format of {path}; pass format explicitly")
 
 
+def _csv_rows(f: TextIO, path: Path) -> Iterator[tuple[int, list[str] | None]]:
+    """Yield (line, fields) for the header, then for each non-blank data row.
+
+    The header is yielded without its trailing empty fields (None for an
+    empty file); the caller checks it before asking for rows. A data row that
+    is short or has an empty field raises; so do non-empty fields beyond the
+    header, while trailing empty ones are dropped. Rows are yielded
+    header-wide.
+    """
+    reader = csv.reader(f)
+    try:
+        header = next(reader, None)
+        while header and not header[-1]:
+            header.pop()
+        yield reader.line_num, header
+        width = len(header)  # type: ignore[arg-type]
+        for row in reader:
+            if len(row) != width or "" in row:
+                if not row:
+                    continue
+                line = reader.line_num
+                if len(row) < width or "" in row[:width]:
+                    # the record as csv.DictReader builds it: None for missing fields
+                    rec: dict = dict(zip_longest(header, row[:width]))  # type: ignore[arg-type]
+                    if row[width:]:
+                        rec[None] = row[width:]
+                    raise ValidationError(f"{path} line {line}: incomplete row {rec}")
+                if any(row[width:]):
+                    raise ValidationError(
+                        f"{path} line {line}: non-empty fields beyond the header: {row[width:]}"
+                    )
+                row = row[:width]
+            yield reader.line_num, row
+    except UnicodeDecodeError as exc:
+        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+    except csv.Error as exc:
+        raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
+
+
 def _parse_float(path: Path, line: int, fieldname: str, raw: str) -> float:
     try:
         return float(raw)
-    except (TypeError, ValueError):
+    except ValueError:
         raise ValidationError(
             f"{path} line {line}: field {fieldname!r} is not a number: {raw!r}"
         ) from None
 
 
-def _parse_tfn_fields(path: Path, line: int, rec: dict[str, str]) -> TriangularFuzzyNumber:
-    return TFN(*(_parse_float(path, line, k, rec[k]) for k in ("l", "m", "u")))
+def _parse_tfn_fields(path: Path, line: int, l: str, m: str, u: str) -> TriangularFuzzyNumber:
+    try:
+        return TFN(float(l), float(m), float(u))
+    except ValueError:  # ValidationError included
+        pass  # name the first bad field, in l, m, u order
+    values = [_parse_float(path, line, k, raw) for k, raw in zip("lmu", (l, m, u))]
+    try:
+        return TFN(*values)
+    except ValidationError as exc:
+        raise ValidationError(f"{path} line {line}: {exc}") from None
+
+
+def _scale_rating(path: Path, line: int, scale: LinguisticScale, raw: str) -> TriangularFuzzyNumber:
+    try:
+        rating = int(raw)
+    except ValueError:
+        raise ValidationError(
+            f"{path} line {line}: field 'rating' is not an integer: {raw!r}"
+        ) from None
+    try:
+        return scale.tfn(rating)
+    except ValidationError as exc:
+        raise ValidationError(f"{path} line {line}: {exc}") from None
 
 
 def _json_tfn(where: str, triple) -> TriangularFuzzyNumber:
@@ -63,7 +133,10 @@ def _json_tfn(where: str, triple) -> TriangularFuzzyNumber:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in triple)
     ):
         raise ValidationError(f"{where}: tfn must be a numeric [l, m, u] triple")
-    return TFN(*(float(x) for x in triple))
+    try:
+        return TFN(*triple)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def read_ratings_csv(
@@ -73,46 +146,34 @@ def read_ratings_csv(
 ) -> RatingPanel:
     """Read a rating panel from CSV; the header picks the integer or triple path."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        header = reader.fieldnames or []
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        rows = _csv_rows(f, path)
+        _, header = next(rows)
         if header == RATINGS_INT_HEADER:
             integer_path = True
         elif header == RATINGS_TFN_HEADER:
             integer_path = False
         else:
             raise ValidationError(
-                f"{path} line 1: unexpected ratings header {header}; "
+                f"{path} line 1: unexpected ratings header {header or []}; "
                 f"expected {RATINGS_INT_HEADER} or {RATINGS_TFN_HEADER}"
             )
         if integer_path and scale is None:
             scale = get_scale("delphi-10")
         grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
-        for line, rec in enumerate(reader, start=2):
-            if any(rec.get(k) in (None, "") for k in header):
-                raise ValidationError(f"{path} line {line}: incomplete row {rec}")
-            bid, eid = rec["barrier_id"], rec["expert_id"]
-            if (bid, eid) in grid:
+        for line, (bid, eid, *values) in rows:
+            key = (bid, eid)
+            if key in grid:
                 raise ValidationError(f"{path} line {line}: duplicate rating for ({bid}, {eid})")
             if integer_path:
-                raw = rec["rating"]
-                try:
-                    rating = int(raw)
-                except ValueError:
-                    raise ValidationError(
-                        f"{path} line {line}: field 'rating' is not an integer: {raw!r}"
-                    ) from None
-                try:
-                    grid[(bid, eid)] = encode_rating(scale, rating)  # type: ignore[arg-type]
-                except ValidationError as exc:
-                    raise ValidationError(f"{path} line {line}: {exc}") from None
+                grid[key] = _scale_rating(path, line, scale, values[0])  # type: ignore[arg-type]
             else:
-                grid[(bid, eid)] = _parse_tfn_fields(path, line, rec)
+                grid[key] = _parse_tfn_fields(path, line, *values)
     if not grid:
         raise ValidationError(f"{path}: no rating rows")
     # grid keys are in row order, so these keep each id's first-seen position
-    barriers = dict.fromkeys(bid for bid, _ in grid)
-    experts = dict.fromkeys(eid for _, eid in grid)
+    bids, eids = zip(*grid)
+    barriers, experts = dict.fromkeys(bids), dict.fromkeys(eids)
     return RatingPanel(tuple(map(Barrier, barriers)), tuple(experts), grid, mode)
 
 
@@ -137,7 +198,7 @@ def read_ratings_json(
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     try:
         barriers = _parse_barrier_list(doc["barriers"])
@@ -161,7 +222,7 @@ def read_ratings_json(
             rating = rec["rating"]
             if isinstance(rating, bool) or not isinstance(rating, int):
                 raise ValidationError(f"{where}: rating must be an integer, got {rating!r}")
-            grid[key] = encode_rating(scale, rating)
+            grid[key] = scale.tfn(rating)
         else:
             raise ValidationError(f"{where}: needs either 'rating' or 'tfn'")
     return RatingPanel(tuple(barriers), tuple(experts), grid, mode)
@@ -184,22 +245,27 @@ def read_matrix_csv(
 ) -> PairwiseMatrix:
     """Read a pairwise matrix from CSV; criteria appear in first-seen order."""
     path = Path(path)
-    with open(path, newline="", encoding="utf-8") as f:
-        reader = csv.DictReader(f)
-        if (reader.fieldnames or []) != MATRIX_HEADER:
+    with open(path, newline="", encoding="utf-8-sig") as f:
+        rows = _csv_rows(f, path)
+        _, header = next(rows)
+        if header != MATRIX_HEADER:
             raise ValidationError(
-                f"{path} line 1: unexpected matrix header {reader.fieldnames}; "
-                f"expected {MATRIX_HEADER}"
+                f"{path} line 1: unexpected matrix header {header}; expected {MATRIX_HEADER}"
             )
-        entries: list[tuple[str, str, TriangularFuzzyNumber]] = []
-        for line, rec in enumerate(reader, start=2):
-            if any(rec.get(k) in (None, "") for k in MATRIX_HEADER):
-                raise ValidationError(f"{path} line {line}: incomplete row {rec}")
-            entries.append((rec["row_id"], rec["col_id"], _parse_tfn_fields(path, line, rec)))
+        entries = [(rid, cid, _parse_tfn_fields(path, line, l, m, u))
+                   for line, (rid, cid, l, m, u) in rows]
     if not entries:
         raise ValidationError(f"{path}: no matrix rows")
     criteria = dict.fromkeys(x for rid, cid, _ in entries for x in (rid, cid))
-    return build_matrix(entries, list(criteria), mode)
+    return _located_matrix(path, entries, list(criteria), mode)
+
+
+def _located_matrix(path: Path, entries, criteria, mode: ValidationMode) -> PairwiseMatrix:
+    """`build_matrix`, with the file named in any error it raises."""
+    try:
+        return build_matrix(entries, criteria, mode)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
 
 
 def read_matrix_json(
@@ -210,7 +276,7 @@ def read_matrix_json(
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.load(f)
-        except json.JSONDecodeError as exc:
+        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     try:
         criteria = _parse_barrier_list(doc["criteria"])
@@ -225,7 +291,7 @@ def read_matrix_json(
         if not isinstance(rec, dict) or not {"row", "col", "tfn"} <= set(rec):
             raise ValidationError(f"{where}: needs row, col, and tfn")
         entries.append((str(rec["row"]), str(rec["col"]), _json_tfn(where, rec["tfn"])))
-    return build_matrix(entries, criteria, mode)
+    return _located_matrix(path, entries, criteria, mode)
 
 
 def read_matrix(

@@ -46,7 +46,12 @@ class ValidationWarning:
 def _component(name: str, v: object) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):
         raise ValidationError(f"TFN component {name} must be a real number, got {v!r}")
-    v = float(v)
+    try:
+        v = float(v)
+    except OverflowError:
+        raise ValidationError(
+            f"TFN component {name} must be finite, got an integer too large for a float"
+        ) from None
     if not math.isfinite(v):
         raise ValidationError(f"TFN component {name} must be finite, got {v!r}")
     return v

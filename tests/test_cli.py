@@ -121,6 +121,26 @@ class TestRank:
         assert (code, out) == (2, "")
         assert "auto-fill of (B,A) from (A,B)" in err
 
+    def test_matrix_errors_name_the_file(self, capsys, tmp_path, exported):
+        f = tmp_path / "zero.csv"
+        f.write_text("row_id,col_id,l,m,u\nA,B,0,1,2\n", encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f}: auto-fill of (B,A) from (A,B): ")
+        study = exported / "fahp_matrix.csv"
+        code, out, err = run(capsys, ["rank", "--matrix", str(study), "--mode", "strict"])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {study}: (B8,B4): ")
+
+    def test_overflowing_integer_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "big.json"
+        big = "1" + "0" * 400
+        cell = f'{{"row": "A", "col": "B", "tfn": [1, 2, {big}]}}'
+        f.write_text(f'{{"criteria": ["A", "B"], "cells": [{cell}]}}', encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert f"{f} cells[0]: TFN component u must be finite" in err
+
     def test_json_matrix_uses_its_own_mode(self, capsys, exported):
         code, out, _ = run(
             capsys, ["rank", "--matrix", str(exported / "fahp_matrix.json")]

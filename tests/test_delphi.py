@@ -91,6 +91,32 @@ class TestPanelValidation:
         assert len(panel.warnings) == 1
         assert panel.warnings[0].code == "non_monotone"
 
+    def test_non_tfn_cell_named(self):
+        for cell in [(1.0, 2.0, 3.0), "5", 5]:
+            with pytest.raises(ValidationError, match=r"rating \(A, E2\) = .* is not a TFN"):
+                RatingPanel(
+                    (Barrier("A"),), ("E1", "E2"), {("A", "E1"): TFN(1, 2, 3), ("A", "E2"): cell}
+                )
+
+    def test_rating_for_unknown_cell(self):
+        ratings = {("A", "E1"): TFN(1, 2, 3), ("A", "E9"): TFN(1, 2, 3)}
+        with pytest.raises(ValidationError, match=r"unknown cells: \[\('A', 'E9'\)\]"):
+            RatingPanel((Barrier("A"),), ("E1",), ratings)
+
+    def test_negative_check_precedes_order_check_in_both_modes(self):
+        rows = {"A": [TFN(1, 2, 3), TFN(2, -1, 1)]}
+        for mode in ValidationMode:
+            with pytest.raises(ValidationError, match=r"\(A, E2\) = \(2, -1, 1\) has negative"):
+                make_panel(rows, mode=mode)
+
+    def test_lenient_warnings_follow_barrier_then_expert_order(self):
+        rows = {"A": [TFN(3, 2, 4), TFN(1, 2, 3)], "B": [TFN(0, 2, 1), TFN(5, 4, 3)]}
+        panel = make_panel(rows, mode=ValidationMode.LENIENT)
+        assert [w.location for w in panel.warnings] == ["(A, E1)", "(B, E1)", "(B, E2)"]
+        assert panel.warnings[0].message == "rating (3, 2, 4) is not ordered l <= m <= u"
+        with pytest.raises(ValidationError, match=r"rating \(A, E1\) = \(3, 2, 4\) is not ordered"):
+            make_panel(rows)
+
     def test_from_rows_rejects_unknown_row_keys(self):
         with pytest.raises(ValidationError, match="unknown barriers"):
             RatingPanel.from_rows(

@@ -93,6 +93,57 @@ class TestRatingsCsv:
         assert panel.experts == ("E2", "E1")
         assert panel.row("B1") == (TFN(5, 6, 7), TFN(3, 4, 5))
 
+    def test_excel_utf8_bom(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_bytes("barrier_id,expert_id,rating\nA,E1,5\n".encode("utf-8-sig"))
+        assert read_ratings(p).row("A") == (TFN(4, 5, 6),)
+
+    def test_error_names_physical_line(self, tmp_path):
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\nB1,E1,5\n\nB1,E2,x\n")
+        with pytest.raises(ValidationError, match="r.csv line 4: field 'rating'"):
+            read_ratings(p)
+
+    def test_extra_non_empty_field_rejected(self, tmp_path):
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\nB1,E1,5\nB1,E2,7,9\n")
+        with pytest.raises(ValidationError, match=r"line 3: non-empty fields beyond .*\['9'\]"):
+            read_ratings(p)
+
+    def test_trailing_empty_fields_accepted(self, tmp_path):
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,l,m,u\nA,E1,1,2,3,\nA,E2,2,3,4,,\n")
+        assert read_ratings(p).row("A") == (TFN(1, 2, 3), TFN(2, 3, 4))
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_padded_header_accepted(self, tmp_path, encoding):
+        p = tmp_path / "r.csv"
+        p.write_bytes("barrier_id,expert_id,rating,,\nA,E1,5,,\n".encode(encoding))
+        assert read_ratings(p).row("A") == (TFN(4, 5, 6),)
+
+    def test_incomplete_row_message(self, tmp_path):
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,,5,\n")
+        with pytest.raises(ValidationError) as exc:
+            read_ratings(p)
+        assert str(exc.value) == (
+            f"{p} line 2: incomplete row "
+            "{'barrier_id': 'A', 'expert_id': '', 'rating': '5', None: ['']}"
+        )
+
+    def test_overflowing_value_names_line(self, tmp_path):
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,l,m,u\nA,E1,1,2,3\nA,E2,1,2,1e400\n")
+        with pytest.raises(ValidationError, match="r.csv line 3: TFN component u must be finite"):
+            read_ratings(p)
+
+    def test_undecodable_bytes(self, tmp_path):
+        p = tmp_path / "r.csv"
+        p.write_bytes(b"barrier_id,expert_id,rating\nA,E1,5\xff\n")
+        with pytest.raises(ValidationError, match="r.csv: not UTF-8 text"):
+            read_ratings(p)
+
+    def test_oversized_field_names_line(self, tmp_path):
+        huge = "9" * 200_000
+        p = write(tmp_path, "r.csv", f"barrier_id,expert_id,rating\nA,E1,5\nA,E2,{huge}\n")
+        with pytest.raises(ValidationError, match="r.csv line 3: field larger than field limit"):
+            read_ratings(p)
+
     def test_incomplete_grid(self, tmp_path):
         p = write(
             tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,E1,5\nB,E2,6\n"
@@ -157,6 +208,9 @@ class TestRatingsJson:
         p = write(tmp_path, "r.json", "{not json")
         with pytest.raises(ValidationError, match="invalid JSON"):
             read_ratings(p)
+        p.write_bytes(b'{"barriers": ["\xff"]}')
+        with pytest.raises(ValidationError, match="invalid JSON: 'utf-8' codec"):
+            read_ratings(p)
 
     def test_missing_field(self, tmp_path):
         p = write(tmp_path, "r.json", json.dumps({"barriers": ["A"]}))
@@ -186,6 +240,64 @@ class TestMatrixFiles:
     def test_csv_bad_value_names_line_and_field(self, tmp_path):
         p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,2,3,oops\n")
         with pytest.raises(ValidationError, match="line 2.*'u'"):
+            read_matrix(p)
+
+    def test_csv_excel_utf8_bom(self, tmp_path):
+        p = tmp_path / "m.csv"
+        p.write_bytes("row_id,col_id,l,m,u\nA,B,2,3,4\n".encode("utf-8-sig"))
+        assert read_matrix(p).ids == ["A", "B"]
+
+    def test_csv_error_names_physical_line(self, tmp_path):
+        p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,2,3,4\n\nA,C,2,x,4\n")
+        with pytest.raises(ValidationError, match="m.csv line 4: field 'm'"):
+            read_matrix(p)
+
+    def test_csv_extra_non_empty_field_rejected(self, tmp_path):
+        p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,2,3,4,5\n")
+        with pytest.raises(ValidationError, match=r"line 2: non-empty fields beyond .*\['5'\]"):
+            read_matrix(p)
+
+    def test_csv_trailing_empty_fields_accepted(self, tmp_path):
+        p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,2,3,4,\nB,A,0.25,0.33,0.5,,\n")
+        assert read_matrix(p).cell("B", "A") == TFN(0.25, 0.33, 0.5)
+
+    @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
+    def test_csv_padded_header_accepted(self, tmp_path, encoding):
+        p = tmp_path / "m.csv"
+        p.write_bytes("row_id,col_id,l,m,u,\nA,B,2,3,4,\nA,C,1,1,1,9\n".encode(encoding))
+        with pytest.raises(ValidationError, match=r"line 3: non-empty fields beyond .*\['9'\]"):
+            read_matrix(p)
+        p.write_bytes("row_id,col_id,l,m,u,\nA,B,2,3,4,\n".encode(encoding))
+        assert read_matrix(p).cell("A", "B") == TFN(2, 3, 4)
+
+    def test_csv_overflowing_value_names_line(self, tmp_path):
+        p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,1e400,3,4\n")
+        with pytest.raises(ValidationError, match="m.csv line 2: TFN component l must be finite"):
+            read_matrix(p)
+
+    def test_matrix_errors_name_the_file(self, tmp_path):
+        zero = write(tmp_path, "zero.csv", "row_id,col_id,l,m,u\nA,B,0,1,2\n")
+        with pytest.raises(ValidationError, match=r"zero.csv: auto-fill of \(B,A\) from \(A,B\)"):
+            read_matrix(zero)
+        doc = {
+            "criteria": ["A", "B"],
+            "cells": [
+                {"row": "A", "col": "B", "tfn": [1, 2, 3]},
+                {"row": "B", "col": "A", "tfn": [1, 2, 3]},
+            ],
+        }
+        breach = write(tmp_path, "breach.json", json.dumps(doc))
+        with pytest.raises(ValidationError, match=r"breach.json: \(A,B\)/\(B,A\): "):
+            read_matrix(breach)
+
+    def test_json_overflowing_integer_names_cell(self, tmp_path):
+        big = "1" + "0" * 400
+        p = write(tmp_path, "m.json", f'{{"criteria": ["A"], "cells": '
+                  f'[{{"row": "A", "col": "A", "tfn": [1, 1, {big}]}}]}}')
+        with pytest.raises(ValidationError, match=r"cells\[0\]: TFN component u must be finite"):
+            read_matrix(p)
+        p = write(tmp_path, "m.json", '{"criteria": ["A"], "cells": [' + "9" * 5000 + "]}")
+        with pytest.raises(ValidationError, match="invalid JSON"):
             read_matrix(p)
 
     def test_json_mode_from_file_and_override(self, tmp_path):

@@ -41,6 +41,7 @@ def test_tfn_rejects_non_finite():
         ((0, "1", 2), "component m must be a real number, got '1'"),
         ((0, 1, float("nan")), "component u must be finite, got nan"),
         ((float("-inf"), 1, 2), "component l must be finite, got -inf"),
+        ((1, 2, 10**400), "component u must be finite, got an integer too large for a float"),
     ],
 )
 def test_tfn_rejects_bad_components(components, message):
