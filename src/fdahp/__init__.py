@@ -28,24 +28,20 @@ from .delphi import (
     ThresholdStrategy,
     aggregate_panel,
     compute_threshold,
-    encode_rating,
     get_scale,
     score_barriers,
     screen,
 )
 from .errors import DatasetError, FdahpError, ValidationError
 from .fahp import (
-    SAATY_9,
     PairwiseMatrix,
     RankingResult,
-    SaatyFuzzyScale,
     build_matrix,
     crisp_weights,
     fuzzy_weights,
     rank,
     row_geometric_means,
     run_fahp,
-    validate_matrix,
 )
 from .report import Report
 from .tfn import (
@@ -56,11 +52,9 @@ from .tfn import (
     aggregate_min_geo_max,
     centroid_defuzzify,
     geometric_mean,
-    membership_at,
     tfn_add,
     tfn_multiply,
     tfn_reciprocal,
-    tfn_total_inverse,
 )
 
 __all__ = [
@@ -69,11 +63,9 @@ __all__ = [
     "TriangularFuzzyNumber",
     "ValidationMode",
     "ValidationWarning",
-    "membership_at",
     "tfn_add",
     "tfn_multiply",
     "tfn_reciprocal",
-    "tfn_total_inverse",
     "geometric_mean",
     "aggregate_min_geo_max",
     "centroid_defuzzify",
@@ -81,7 +73,6 @@ __all__ = [
     "LinguisticScale",
     "DELPHI_10",
     "get_scale",
-    "encode_rating",
     "RatingPanel",
     "ThresholdStrategy",
     "ScreeningResult",
@@ -89,11 +80,8 @@ __all__ = [
     "score_barriers",
     "compute_threshold",
     "screen",
-    "SaatyFuzzyScale",
-    "SAATY_9",
     "PairwiseMatrix",
     "RankingResult",
-    "validate_matrix",
     "build_matrix",
     "row_geometric_means",
     "fuzzy_weights",

@@ -17,6 +17,7 @@ from .delphi import ThresholdStrategy, get_scale, screen
 from .errors import DatasetError, ValidationError
 from .fahp import run_fahp
 from .io import (
+    load_json,
     read_matrix,
     read_ratings,
     write_matrix_csv,
@@ -37,8 +38,8 @@ EXIT_IO = 3
 
 
 def _add_output_args(p: argparse.ArgumentParser) -> None:
-    p.add_argument("--emit", choices=["json", "csv", "md"], default="json",
-                   help="report format (default: json)")
+    p.add_argument("--emit", choices=["json", "csv", "md"], default=None,
+                   help="report format (default: json; for pipeline, the config's emit)")
     p.add_argument("--output", metavar="PATH", default=None,
                    help="write the report here instead of stdout")
     p.add_argument("--timing", action="store_true",
@@ -111,7 +112,7 @@ def cmd_screen(args: argparse.Namespace) -> int:
         screening=result,
         timing_ms=(time.perf_counter() - t0) * 1000 if args.timing else None,
     )
-    _write_out(report.emit(args.emit), args.output)
+    _write_out(report.emit(args.emit or "json"), args.output)
     return EXIT_OK
 
 
@@ -126,16 +127,14 @@ def cmd_rank(args: argparse.Namespace) -> int:
         ranking=result,
         timing_ms=(time.perf_counter() - t0) * 1000 if args.timing else None,
     )
-    _write_out(report.emit(args.emit), args.output)
+    _write_out(report.emit(args.emit or "json"), args.output)
     return EXIT_OK
 
 
 def _load_pipeline_config(path: str) -> dict:
-    with open(path, encoding="utf-8") as f:
-        try:
-            cfg = json.load(f)
-        except json.JSONDecodeError as exc:
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    cfg = load_json(path)
+    if not isinstance(cfg, dict):
+        raise ValidationError(f"{path}: config must be a JSON object")
     for key in ("ratings", "matrix"):
         src = cfg.get(key)
         if not isinstance(src, dict) or not src.get("path"):
@@ -188,7 +187,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
                 f"matrix criteria {matrix.ids} do not match the screened "
                 f"criteria {expected_ids}"
             )
-        ranking = run_fahp(matrix, cfg.get("tie_break", "index"))
+        ranking = run_fahp(matrix)
     except ValidationError as exc:
         raise ValidationError(f"[rank] {exc}") from None
 
@@ -204,9 +203,8 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         ranking=ranking,
         timing_ms=(time.perf_counter() - t0) * 1000 if args.timing else None,
     )
-    emit = args.emit if args.emit != "json" or "emit" not in cfg else cfg["emit"]
     output = args.output or cfg.get("output")
-    _write_out(report.emit(emit), output)
+    _write_out(report.emit(args.emit or cfg.get("emit", "json")), output)
     return EXIT_OK
 
 

@@ -96,11 +96,6 @@ def get_scale(name: str) -> LinguisticScale:
         ) from None
 
 
-def encode_rating(scale: LinguisticScale, rating: int) -> TriangularFuzzyNumber:
-    """Resolve an integer rating through a linguistic scale."""
-    return scale.tfn(rating)
-
-
 @dataclass
 class RatingPanel:
     """Complete barriers x experts grid of TFN opinions.

@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Iterable, Mapping, Sequence
+from typing import Iterable, Sequence
 
 from .delphi import Barrier
 from .errors import ValidationError
@@ -22,49 +22,11 @@ from .tfn import (
     geometric_mean,
     tfn_multiply,
     tfn_reciprocal,
-    tfn_total_inverse,
 )
 
 # Relative per-component tolerance when checking that cell(j,i) mirrors the
 # reciprocal of cell(i,j); printed matrices commonly carry ~3% rounding drift.
 RECIPROCITY_TOLERANCE = 0.05
-
-
-@dataclass(frozen=True)
-class SaatyFuzzyScale:
-    """Fuzzy 1..9 importance scale for pairwise comparisons."""
-
-    entries: Mapping[int, TriangularFuzzyNumber]
-
-    def __post_init__(self) -> None:
-        if sorted(self.entries) != list(range(1, 10)):
-            raise ValidationError("Saaty scale must define levels 1..9")
-        object.__setattr__(self, "entries", dict(self.entries))
-
-    def tfn(self, level: int) -> TriangularFuzzyNumber:
-        try:
-            return self.entries[level]
-        except KeyError:
-            raise ValidationError(f"Saaty level {level!r} not in 1..9") from None
-
-    def reciprocal_tfn(self, level: int) -> TriangularFuzzyNumber:
-        """TFN for 'level-times less important'."""
-        return tfn_reciprocal(self.tfn(level))
-
-
-SAATY_9 = SaatyFuzzyScale(
-    {
-        1: TFN(1, 1, 1),
-        2: TFN(1, 2, 3),
-        3: TFN(2, 3, 4),
-        4: TFN(3, 4, 5),
-        5: TFN(4, 5, 6),
-        6: TFN(5, 6, 7),
-        7: TFN(6, 7, 8),
-        8: TFN(7, 8, 9),
-        9: TFN(9, 9, 9),
-    }
-)
 
 
 def _as_barriers(criteria: Sequence[Barrier | str]) -> tuple[Barrier, ...]:
@@ -181,11 +143,6 @@ def validate_cells(
     return warnings
 
 
-def validate_matrix(m: PairwiseMatrix) -> list[ValidationWarning]:
-    """Re-run validation on a built matrix and return the warning list."""
-    return validate_cells(m.criteria, m.cells, m.mode)
-
-
 def build_matrix(
     entries: Iterable[tuple[str, str, TriangularFuzzyNumber]],
     criteria: Sequence[Barrier | str],
@@ -247,10 +204,15 @@ def fuzzy_weights(
     """
     if not r:
         raise ValidationError("no row geometric means to weight")
-    total = TFN(*map(math.fsum, zip(*r)))
+    try:
+        total = TFN(*map(math.fsum, zip(*r)))
+    except OverflowError:
+        raise ValidationError(
+            "weight normalization: the sum of the row geometric means overflows"
+        ) from None
     if min(total) <= 0:
         raise ValidationError(f"weight normalization requires positive totals, got {total}")
-    inverse = tfn_total_inverse(total)
+    inverse = tfn_reciprocal(total)
     weights = [tfn_multiply(t, inverse) for t in r]
     return weights, total, inverse
 
@@ -266,12 +228,10 @@ def crisp_weights(w: Sequence[TriangularFuzzyNumber]) -> tuple[list[float], list
     return m_vals, [v / s for v in m_vals]
 
 
-def rank(n_weights: Sequence[float], tie_break: str = "index") -> list[int]:
+def rank(n_weights: Sequence[float]) -> list[int]:
     """1-based ranks, descending by weight; ties broken by ascending index."""
     if not n_weights:
         raise ValidationError("nothing to rank")
-    if tie_break != "index":
-        raise ValidationError(f"unsupported tie-break policy {tie_break!r}")
     order = sorted(range(len(n_weights)), key=lambda i: (-n_weights[i], i))
     ranks = [0] * len(n_weights)
     for position, i in enumerate(order):
@@ -307,12 +267,12 @@ class RankingResult:
         return dict(zip(self.ids, self.normalized))
 
 
-def run_fahp(m: PairwiseMatrix, tie_break: str = "index") -> RankingResult:
+def run_fahp(m: PairwiseMatrix) -> RankingResult:
     """Full ranking pipeline over a validated matrix."""
     r = row_geometric_means(m)
     w, total, inverse = fuzzy_weights(r)
     m_vals, n_vals = crisp_weights(w)
-    ranks = rank(n_vals, tie_break)
+    ranks = rank(n_vals)
     return RankingResult(
         criteria=m.criteria,
         row_means=r,

@@ -53,6 +53,23 @@ def detect_format(path: str | Path, explicit: str | None = None) -> str:
     raise ValidationError(f"cannot infer format of {path}; pass format explicitly")
 
 
+def load_json(path: str | Path) -> Any:
+    """Parse a UTF-8 JSON file; bad bytes or syntax raise a `ValidationError` naming it."""
+    with open(path, encoding="utf-8") as f:
+        try:
+            return json.load(f)
+        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an overlong integer
+            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+
+
+def _located(path: Path, build, *args):
+    """`build(*args)`, with the file named in any validation error it raises."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
 def _csv_rows(f: TextIO, path: Path) -> Iterator[tuple[int, list[str] | None]]:
     """Yield (line, fields) for the header, then for each non-blank data row.
 
@@ -174,7 +191,7 @@ def read_ratings_csv(
     # grid keys are in row order, so these keep each id's first-seen position
     bids, eids = zip(*grid)
     barriers, experts = dict.fromkeys(bids), dict.fromkeys(eids)
-    return RatingPanel(tuple(map(Barrier, barriers)), tuple(experts), grid, mode)
+    return _located(path, RatingPanel, tuple(map(Barrier, barriers)), tuple(experts), grid, mode)
 
 
 def _parse_barrier_list(items: Sequence[Any]) -> list[Barrier]:
@@ -195,11 +212,7 @@ def read_ratings_json(
     mode: ValidationMode = ValidationMode.STRICT,
 ) -> RatingPanel:
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    doc = load_json(path)
     try:
         barriers = _parse_barrier_list(doc["barriers"])
         experts = [str(e) for e in doc["experts"]]
@@ -225,7 +238,7 @@ def read_ratings_json(
             grid[key] = scale.tfn(rating)
         else:
             raise ValidationError(f"{where}: needs either 'rating' or 'tfn'")
-    return RatingPanel(tuple(barriers), tuple(experts), grid, mode)
+    return _located(path, RatingPanel, tuple(barriers), tuple(experts), grid, mode)
 
 
 def read_ratings(
@@ -257,15 +270,7 @@ def read_matrix_csv(
     if not entries:
         raise ValidationError(f"{path}: no matrix rows")
     criteria = dict.fromkeys(x for rid, cid, _ in entries for x in (rid, cid))
-    return _located_matrix(path, entries, list(criteria), mode)
-
-
-def _located_matrix(path: Path, entries, criteria, mode: ValidationMode) -> PairwiseMatrix:
-    """`build_matrix`, with the file named in any error it raises."""
-    try:
-        return build_matrix(entries, criteria, mode)
-    except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+    return _located(path, build_matrix, entries, list(criteria), mode)
 
 
 def read_matrix_json(
@@ -273,11 +278,7 @@ def read_matrix_json(
 ) -> PairwiseMatrix:
     """Read a pairwise matrix from JSON; an explicit `mode` overrides the file's."""
     path = Path(path)
-    with open(path, encoding="utf-8") as f:
-        try:
-            doc = json.load(f)
-        except ValueError as exc:  # JSONDecodeError, or an integer literal too long to parse
-            raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    doc = load_json(path)
     try:
         criteria = _parse_barrier_list(doc["criteria"])
         cells = doc["cells"]
@@ -291,7 +292,7 @@ def read_matrix_json(
         if not isinstance(rec, dict) or not {"row", "col", "tfn"} <= set(rec):
             raise ValidationError(f"{where}: needs row, col, and tfn")
         entries.append((str(rec["row"]), str(rec["col"]), _json_tfn(where, rec["tfn"])))
-    return _located_matrix(path, entries, criteria, mode)
+    return _located(path, build_matrix, entries, criteria, mode)
 
 
 def read_matrix(
@@ -321,7 +322,7 @@ def write_ratings_json(panel: RatingPanel, path: str | Path, scale_name: str = "
         "barriers": [{"id": b.id, "name": b.name} for b in panel.barriers],
         "experts": list(panel.experts),
         "ratings": [
-            {"barrier_id": bid, "expert_id": eid, "tfn": list(t.as_tuple())}
+            {"barrier_id": bid, "expert_id": eid, "tfn": list(t)}
             for bid in panel.barrier_ids
             for eid, t in zip(panel.experts, panel.row(bid))
         ],
@@ -348,7 +349,7 @@ def write_matrix_json(matrix: PairwiseMatrix, path: str | Path) -> None:
         "criteria": [{"id": c.id, "name": c.name} for c in matrix.criteria],
         "mode": matrix.mode.value,
         "cells": [
-            {"row": rid, "col": cid, "tfn": list(matrix.cells[i][j].as_tuple())}
+            {"row": rid, "col": cid, "tfn": list(matrix.cells[i][j])}
             for i, rid in enumerate(ids)
             for j, cid in enumerate(ids)
         ],

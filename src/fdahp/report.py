@@ -139,18 +139,6 @@ class Report:
     def to_json(self) -> str:
         return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
 
-    @classmethod
-    def from_json(cls, text: str) -> "Report":
-        doc = json.loads(text)
-        return cls(
-            tool=doc["tool"],
-            inputs=doc["inputs"],
-            screening=doc["screening"],
-            ranking=doc["ranking"],
-            warnings=doc["warnings"],
-            timing_ms=doc["timing_ms"],
-        )
-
     # ------------------------------------------------------------- csv / md
 
     def to_csv(self) -> str:

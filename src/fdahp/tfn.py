@@ -95,9 +95,6 @@ class TriangularFuzzyNumber(namedtuple("TriangularFuzzyNumber", "l m u")):
     def is_nonnegative(self) -> bool:
         return self.l >= 0 and self.m >= 0 and self.u >= 0
 
-    def as_tuple(self) -> tuple[float, float, float]:
-        return tuple(self)
-
     def __str__(self) -> str:
         return f"({self.l:g}, {self.m:g}, {self.u:g})"
 
@@ -105,26 +102,6 @@ class TriangularFuzzyNumber(namedtuple("TriangularFuzzyNumber", "l m u")):
 TFN = TriangularFuzzyNumber
 
 UNIT_TFN = TFN(1.0, 1.0, 1.0)
-
-
-def membership_at(t: TFN, x: float) -> float:
-    """Degree of membership of x in t, in [0, 1].
-
-    Piecewise linear: 0 outside [l, u], 1 at the modal value, interpolated on
-    the rising and falling segments. A degenerate segment (l == m or m == u)
-    contributes membership 1 at its collapsed point.
-    """
-    if not t.is_monotone:
-        raise ValidationError(f"membership requires an ordered TFN, got {t}")
-    if not math.isfinite(x):
-        raise ValidationError(f"membership point must be finite, got {x!r}")
-    if x < t.l or x > t.u:
-        return 0.0
-    if x == t.m:
-        return 1.0
-    if x < t.m:
-        return (x - t.l) / (t.m - t.l)
-    return (t.u - x) / (t.u - t.m)
 
 
 def tfn_add(a: TFN, b: TFN) -> TFN:
@@ -148,16 +125,6 @@ def tfn_reciprocal(t: TFN) -> TFN:
     if l <= 0 or m <= 0 or u <= 0:
         raise ValidationError(f"TFN reciprocal requires strictly positive components, got {t}")
     return TFN(1.0 / u, 1.0 / m, 1.0 / l)
-
-
-def tfn_total_inverse(total: TFN) -> TFN:
-    """Reciprocal of a column total.
-
-    Identical arithmetic to :func:`tfn_reciprocal`; named separately because it
-    produces the normalization vector applied to every row geometric mean in
-    the geometric-mean weighting method.
-    """
-    return tfn_reciprocal(total)
 
 
 def geometric_mean(values: Sequence[float]) -> float:

@@ -43,7 +43,7 @@ def _num_check(name: str, expected: float, computed: float, tol: float) -> Check
 def _tfn_check(
     name: str, expected: TriangularFuzzyNumber, computed: TriangularFuzzyNumber, tol: float
 ) -> CheckResult:
-    dev = max(abs(a - b) for a, b in zip(computed.as_tuple(), expected.as_tuple()))
+    dev = max(abs(a - b) for a, b in zip(computed, expected))
     return CheckResult(name, _fmt_tfn(expected), _fmt_tfn(computed), _fmt(tol), dev <= tol)
 
 

@@ -1,6 +1,12 @@
 """Shared random-input generators for property checks."""
-from fdahp import SAATY_9, TFN, build_matrix, tfn_reciprocal
+from fdahp import TFN, build_matrix, tfn_reciprocal
 from fdahp.tfn import ValidationMode
+
+# Fuzzy 1..9 importance scale for drawing pairwise comparisons.
+SAATY_9 = {
+    1: TFN(1, 1, 1), 2: TFN(1, 2, 3), 3: TFN(2, 3, 4), 4: TFN(3, 4, 5), 5: TFN(4, 5, 6),
+    6: TFN(5, 6, 7), 7: TFN(6, 7, 8), 8: TFN(7, 8, 9), 9: TFN(9, 9, 9),
+}
 
 
 def random_reciprocal_matrix(rng, n, mode=ValidationMode.STRICT, continuous=False):
@@ -22,7 +28,7 @@ def random_reciprocal_matrix(rng, n, mode=ValidationMode.STRICT, continuous=Fals
                 m = l * float(grow[k, 0])
                 t = TFN(l, m, m * float(grow[k, 1]))
             else:
-                t = SAATY_9.tfn(int(levels[k]))
+                t = SAATY_9[int(levels[k])]
                 if flips[k]:
                     t = tfn_reciprocal(t)
             entries.append((ids[i], ids[j], t))

@@ -1,8 +1,10 @@
 """Acceptance gate: every release criterion at its pinned tolerance.
 
 Each test prints one [PASS]/[FAIL] line (run with -s to see them on success).
-Criteria 1-7 reproduce the bundled study against its printed values; criterion
-8 is a randomized property suite that never touches the study's numbers.
+Criteria 1-7 reproduce the bundled study against its printed values; criteria
+1-6 take their verdicts from the named checks of `fdahp.verify`, which holds
+every study tolerance. Criterion 8 is a randomized property suite that never
+touches the study's numbers.
 """
 import json
 
@@ -16,13 +18,13 @@ from fdahp import (
     RatingPanel,
     TFN,
     build_matrix,
-    encode_rating,
     run_fahp,
     screen,
     tfn_multiply,
 )
 from fdahp.cli import main
 from fdahp.tfn import ValidationMode
+from fdahp.verify import run_study_checks
 
 STUDY_ORDER = ["B10", "B9", "B7", "B5", "B3", "B2", "B4", "B1", "B8", "B6", "B11"]
 
@@ -36,98 +38,78 @@ def check(criterion, ok, detail=""):
     assert ok, line
 
 
-def test_criterion_1_delphi_scores(study):
-    result = screen(study.delphi_panel)
-    scores = {r.barrier.id: r.score for r in result.rows}
-    devs = {
-        bid: abs(scores[bid] - want)
-        for bid, want in study.delphi_expected.scores.items()
-    }
-    worst = max(devs, key=devs.get)
-    check(
+@pytest.fixture(scope="module")
+def checks(study):
+    return {c.name: c for c in run_study_checks(study)}
+
+
+def named(checks, prefix):
+    return [c for name, c in checks.items() if name.startswith(prefix)]
+
+
+def check_study(criterion, picked, pinned=True, detail=None):
+    """One line whose verdict is that of the picked study checks, plus pinned facts."""
+    failed = [c.name for c in picked if not c.ok]
+    if detail is None:
+        detail = f"{len(picked) - len(failed)}/{len(picked)} checks ok"
+    if failed:
+        detail += f"; failed: {', '.join(failed)}"
+    check(criterion, pinned and not failed, detail)
+
+
+def test_criterion_1_delphi_scores(checks):
+    scores = named(checks, "screening score ")
+    check_study(
         "criterion 1: all 16 screening scores within 0.01 of the printed values",
-        len(devs) == 16 and max(devs.values()) <= 0.01,
-        f"worst {worst}: dev {devs[worst]:.5f}",
+        scores,
+        pinned=len(scores) == 16,
     )
 
 
-def test_criterion_2_threshold_and_partition(study):
-    result = screen(study.delphi_panel)
-    in_range = 7.11 <= result.threshold <= 7.14
-    got = {
-        r.barrier.id: ("selected" if r.selected else "rejected") for r in result.rows
-    }
-    partition_ok = got == study.delphi_expected.decisions
-    counts_ok = (len(result.selected_ids), len(result.rejected_ids)) == (11, 5)
-    check(
+def test_criterion_2_threshold_and_partition(checks):
+    threshold, decisions = checks["screening threshold"], checks["screening decisions"]
+    check_study(
         "criterion 2: mean threshold in [7.11, 7.14] and 11/5 partition exact",
-        in_range and partition_ok and counts_ok,
-        f"threshold {result.threshold:.5f}",
+        [threshold, decisions],
+        pinned=decisions.computed == "11 selected / 5 rejected",
+        detail=f"threshold {threshold.computed}, {decisions.computed}",
     )
 
 
-def test_criterion_3_row_geometric_means(study):
-    result = run_fahp(study.fahp_matrix)
-    devs = []
-    for i, cid in enumerate(result.ids):
-        want = study.fahp_expected.row_geometric_means[cid]
-        devs.append(
-            max(
-                abs(a - b)
-                for a, b in zip(result.row_means[i].as_tuple(), want.as_tuple())
-            )
-        )
-    total_dev = max(
-        abs(a - b)
-        for a, b in zip(result.total.as_tuple(), study.fahp_expected.total.as_tuple())
-    )
-    check(
+def test_criterion_3_row_geometric_means(checks):
+    row_means = named(checks, "row geometric mean ")
+    check_study(
         "criterion 3: 11 row geometric means and their total within 0.005",
-        max(devs) <= 0.005 and total_dev <= 0.005,
-        f"worst row dev {max(devs):.6f}, total dev {total_dev:.6f}",
+        row_means + [checks["row-mean total"]],
+        pinned=len(row_means) == 11,
     )
 
 
-def test_criterion_4_inverse_total(study):
-    result = run_fahp(study.fahp_matrix)
-    dev = max(
-        abs(a - b)
-        for a, b in zip(
-            result.inverse.as_tuple(), study.fahp_expected.inverse_total.as_tuple()
-        )
-    )
-    check(
+def test_criterion_4_inverse_total(checks):
+    inverse = checks["inverse total"]
+    check_study(
         "criterion 4: inverse total within 0.0005 of (0.06254, 0.074827, 0.090821)",
-        dev <= 0.0005,
-        f"dev {dev:.7f}",
+        [inverse],
+        detail=f"computed {inverse.computed}",
     )
 
 
-def test_criterion_5_normalized_weights(study):
-    result = run_fahp(study.fahp_matrix)
-    n_by_id = result.normalized_by_id()
-    devs = {
-        cid: abs(n_by_id[cid] - want)
-        for cid, want in study.fahp_expected.weights_normalized.items()
-    }
-    worst = max(devs, key=devs.get)
-    check(
+def test_criterion_5_normalized_weights(checks):
+    weights = named(checks, "normalized weight ")
+    check_study(
         "criterion 5: all 11 normalized weights within 0.002 of the printed values",
-        len(devs) == 11 and max(devs.values()) <= 0.002,
-        f"worst {worst}: dev {devs[worst]:.6f}",
+        weights,
+        pinned=len(weights) == 11,
     )
 
 
-def test_criterion_6_rank_order(study):
-    result = run_fahp(study.fahp_matrix)
-    n_by_id = result.normalized_by_id()
-    order_ok = result.rank_order == STUDY_ORDER
-    top_ok = n_by_id["B10"] > n_by_id["B9"] > n_by_id["B7"]
-    weight_ok = abs(n_by_id["B10"] - 0.21185) <= 0.002
-    check(
+def test_criterion_6_rank_order(checks):
+    order, top = checks["rank order"], checks["normalized weight B10"]
+    check_study(
         "criterion 6: exact rank order with strictly ordered top three",
-        order_ok and top_ok and weight_ok,
-        f"order {' > '.join(result.rank_order)}, N(B10) {n_by_id['B10']:.5f}",
+        [order, checks["top-three weights strictly ordered"], top],
+        pinned=order.computed == " > ".join(STUDY_ORDER),
+        detail=f"order {order.computed}, N(B10) {top.computed}",
     )
 
 
@@ -242,7 +224,7 @@ def test_criterion_8d_expert_permutation_invariance():
         experts = [f"E{k}" for k in range(n_e)]
         levels = rng.integers(1, 11, (n_b, n_e))
         rows = {
-            f"B{i}": [encode_rating(DELPHI_10, int(v)) for v in levels[i]]
+            f"B{i}": [DELPHI_10.tfn(int(v)) for v in levels[i]]
             for i in range(n_b)
         }
         panel = RatingPanel.from_rows(list(rows), experts, rows)

@@ -6,7 +6,6 @@ import json
 import pytest
 
 from fdahp.cli import main
-from fdahp.report import Report
 
 STUDY_ORDER = ["B10", "B9", "B7", "B5", "B3", "B2", "B4", "B1", "B8", "B6", "B11"]
 
@@ -79,7 +78,7 @@ class TestScreen:
         _, out, _ = run(
             capsys, ["screen", "--ratings", str(exported / "delphi_ratings.csv")]
         )
-        assert Report.from_json(out).to_json() == out
+        assert json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n" == out
 
 
 class TestRank:
@@ -140,6 +139,14 @@ class TestRank:
         code, out, err = run(capsys, ["rank", "--matrix", str(f)])
         assert (code, out) == (2, "")
         assert f"{f} cells[0]: TFN component u must be finite" in err
+
+    def test_overflowing_weight_total_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "huge.csv"
+        cells = "".join(f"{a},{b},1e308,1e308,1e308\n" for a in "AB" for b in "AB")
+        f.write_text("row_id,col_id,l,m,u\n" + cells, encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: weight normalization: ")
 
     def test_json_matrix_uses_its_own_mode(self, capsys, exported):
         code, out, _ = run(
@@ -233,6 +240,26 @@ class TestPipeline:
         code, _, err = run(capsys, ["pipeline", "--config", str(cfg)])
         assert code == 2
         assert "never derived" in err
+
+    def test_unsupported_tie_break_exits_2(self, capsys, tmp_path, exported):
+        cfg = self.make_config(tmp_path, exported, tie_break="random")
+        code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert "unsupported tie_break 'random'" in err
+
+    @pytest.mark.parametrize("content", [b'{"ratings": "\xff"}', b"[1, 2]"])
+    def test_unusable_config_exits_2(self, capsys, tmp_path, content):
+        cfg = tmp_path / "config.json"
+        cfg.write_bytes(content)
+        code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cfg}: ")
+
+    def test_command_line_emit_overrides_config(self, capsys, tmp_path, exported):
+        cfg = self.make_config(tmp_path, exported, emit="csv")
+        code, out, _ = run(capsys, ["pipeline", "--config", str(cfg), "--emit", "json"])
+        assert code == 0
+        assert json.loads(out)["ranking"]["rank_order"] == STUDY_ORDER
 
     def test_output_file_from_config(self, capsys, tmp_path, exported):
         out_path = tmp_path / "report.json"

@@ -14,7 +14,6 @@ from fdahp import (
     ValidationMode,
     aggregate_panel,
     compute_threshold,
-    encode_rating,
     get_scale,
     score_barriers,
     screen,
@@ -44,16 +43,16 @@ class TestScale:
             1: (0, 0, 1), 2: (1, 2, 3), 3: (2, 3, 4), 4: (3, 4, 5), 5: (4, 5, 6),
             6: (5, 6, 7), 7: (6, 7, 8), 8: (7, 8, 9), 9: (8, 9, 10), 10: (10, 10, 10),
         }
-        assert {k: t.as_tuple() for k, t in DELPHI_10.entries.items()} == want
+        assert DELPHI_10.entries == want
 
     def test_encode_extremes_and_middle(self):
-        assert encode_rating(DELPHI_10, 1) == TFN(0, 0, 1)
-        assert encode_rating(DELPHI_10, 10) == TFN(10, 10, 10)
-        assert encode_rating(DELPHI_10, 5) == TFN(4, 5, 6)
+        assert DELPHI_10.tfn(1) == TFN(0, 0, 1)
+        assert DELPHI_10.tfn(10) == TFN(10, 10, 10)
+        assert DELPHI_10.tfn(5) == TFN(4, 5, 6)
 
     def test_unknown_rating_names_scale_and_value(self):
         with pytest.raises(ValidationError, match=r"11.*delphi-10"):
-            encode_rating(DELPHI_10, 11)
+            DELPHI_10.tfn(11)
 
     def test_unknown_scale_name(self):
         with pytest.raises(ValidationError):
@@ -131,10 +130,10 @@ class TestPanelValidation:
 class TestAggregateAndScore:
     def test_study_rows(self, study):
         agg = aggregate_panel(study.delphi_panel)
-        assert agg["B1"].as_tuple() == pytest.approx(
+        assert agg["B1"] == pytest.approx(
             (6.0, (7**3 * 8) ** 0.25, 9.0), abs=1e-12
         )
-        assert agg["B15"].as_tuple() == pytest.approx(
+        assert agg["B15"] == pytest.approx(
             (8.0, (10 * 9 * 10 * 10) ** 0.25, 10.0), abs=1e-12
         )
 
@@ -239,7 +238,7 @@ class TestScreen:
             n_b, n_e = int(rng.integers(1, 8)), int(rng.integers(1, 5))
             rows = {
                 f"B{i}": [
-                    encode_rating(DELPHI_10, int(rng.integers(1, 11)))
+                    DELPHI_10.tfn(int(rng.integers(1, 11)))
                     for _ in range(n_e)
                 ]
                 for i in range(n_b)
@@ -272,7 +271,7 @@ class TestScreen:
 
     def test_zero_modal_components_are_legal(self):
         # rating 1 encodes to (0, 0, 1); the modal geomean collapses to zero
-        rows = {"A": [encode_rating(DELPHI_10, 1), encode_rating(DELPHI_10, 8)]}
+        rows = {"A": [DELPHI_10.tfn(1), DELPHI_10.tfn(8)]}
         result = screen(make_panel(rows))
         assert result.rows[0].aggregate.m == 0.0
         assert math.isfinite(result.rows[0].score)

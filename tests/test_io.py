@@ -148,8 +148,9 @@ class TestRatingsCsv:
         p = write(
             tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,E1,5\nB,E2,6\n"
         )
-        with pytest.raises(ValidationError, match="missing"):
+        with pytest.raises(ValidationError) as exc:
             read_ratings(p)
+        assert str(exc.value) == f"{p}: panel is missing the rating for (A, E2)"
 
     def test_empty_file(self, tmp_path):
         p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\n")
@@ -212,6 +213,20 @@ class TestRatingsJson:
         with pytest.raises(ValidationError, match="invalid JSON: 'utf-8' codec"):
             read_ratings(p)
 
+    def test_panel_errors_name_the_file(self, tmp_path):
+        doc = {
+            "barriers": ["A", "B"],
+            "experts": ["E1", "E2"],
+            "ratings": [
+                {"barrier_id": b, "expert_id": e, "rating": 5}
+                for b, e in (("A", "E1"), ("A", "E2"), ("B", "E1"))
+            ],
+        }
+        p = write(tmp_path, "grid.json", json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            read_ratings(p)
+        assert str(exc.value) == f"{p}: panel is missing the rating for (B, E2)"
+
     def test_missing_field(self, tmp_path):
         p = write(tmp_path, "r.json", json.dumps({"barriers": ["A"]}))
         with pytest.raises(ValidationError, match="malformed"):
@@ -223,7 +238,7 @@ class TestMatrixFiles:
         p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,2,3,4\n")
         m = read_matrix(p)
         assert m.ids == ["A", "B"]
-        assert m.cell("B", "A").as_tuple() == pytest.approx((0.25, 1 / 3, 0.5))
+        assert m.cell("B", "A") == pytest.approx((0.25, 1 / 3, 0.5))
 
     def test_csv_criteria_keep_first_seen_order(self, tmp_path):
         p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nC,A,2,3,4\nB,C,1,1,1\nA,B,1,2,3\n")

@@ -19,11 +19,9 @@ from fdahp import (
     aggregate_min_geo_max,
     centroid_defuzzify,
     geometric_mean,
-    membership_at,
     tfn_add,
     tfn_multiply,
     tfn_reciprocal,
-    tfn_total_inverse,
 )
 
 
@@ -76,52 +74,7 @@ def test_tfn_holds_non_monotone_triples():
     # lenient containers need to carry raw triples like (0.17, 0.2, 0.17)
     t = TFN(0.17, 0.2, 0.17)
     assert not t.is_monotone
-    assert t.as_tuple() == (0.17, 0.2, 0.17)
-
-
-class TestMembership:
-    def test_modal_value(self):
-        assert membership_at(TFN(1, 2, 3), 2.0) == 1.0
-
-    def test_midpoint_interpolation(self):
-        assert membership_at(TFN(1, 2, 3), 1.5) == 0.5
-
-    def test_falling_branch(self):
-        # (u - x) / (u - m) = (1 - 0.25) / (1 - 0)
-        assert membership_at(TFN(0, 0, 1), 0.25) == (1 - 0.25) / (1 - 0)
-
-    def test_outside_support(self):
-        t = TFN(1, 2, 3)
-        assert membership_at(t, 0.5) == 0.0
-        assert membership_at(t, 3.5) == 0.0
-
-    def test_degenerate_segments(self):
-        assert membership_at(TFN(2, 2, 5), 2.0) == 1.0
-        assert membership_at(TFN(1, 3, 3), 3.0) == 1.0
-        assert membership_at(TFN(4, 4, 4), 4.0) == 1.0
-        assert membership_at(TFN(4, 4, 4), 4.1) == 0.0
-
-    def test_rejects_non_monotone(self):
-        with pytest.raises(ValidationError):
-            membership_at(TFN(0.17, 0.2, 0.17), 0.18)
-
-    def test_rejects_non_finite_point(self):
-        with pytest.raises(ValidationError):
-            membership_at(TFN(1, 2, 3), float("nan"))
-
-    def test_bounded_and_peaked(self):
-        rng = np.random.default_rng(7)
-        for _ in range(200):
-            l, m, u = sorted(rng.uniform(-5, 5, 3))
-            if not (l < m < u):
-                continue
-            t = TFN(l, m, u)
-            x = rng.uniform(-6, 6)
-            mu = membership_at(t, x)
-            assert 0.0 <= mu <= 1.0
-            if x != m:
-                assert mu < 1.0 or math.isclose(x, m)
-            assert membership_at(t, m) == 1.0
+    assert t == (0.17, 0.2, 0.17)
 
 
 class TestMultiply:
@@ -135,7 +88,7 @@ class TestMultiply:
         a = (0.4911269, 0.593166, 0.723203)
         b = (0.0625397, 0.0748270, 0.0908207)
         got = tfn_multiply(TFN(*a), TFN(*b))
-        for g, x, y in zip(got.as_tuple(), a, b):
+        for g, x, y in zip(got, a, b):
             want = float(Decimal(repr(x)) * Decimal(repr(y)))
             assert g == pytest.approx(want, abs=1e-12)
 
@@ -160,6 +113,22 @@ class TestAdd:
         assert total.u == pytest.approx(15.9899, abs=1e-3)
 
 
+class TestTotalInverse:
+    """The ranking stage inverts the row-mean total with tfn_reciprocal."""
+
+    def test_study_total(self):
+        got = tfn_reciprocal(TFN(11.0107, 13.3642, 15.9899))
+        assert got.l == pytest.approx(0.06254, abs=2e-4)
+        assert got.m == pytest.approx(0.074827, abs=2e-4)
+        assert got.u == pytest.approx(0.090821, abs=2e-4)
+
+    def test_unit(self):
+        assert tfn_reciprocal(TFN(1, 1, 1)) == TFN(1, 1, 1)
+
+    def test_powers_of_two(self):
+        assert tfn_reciprocal(TFN(2, 4, 8)) == TFN(0.125, 0.25, 0.5)
+
+
 class TestReciprocal:
     def test_unit(self):
         assert tfn_reciprocal(TFN(1, 1, 1)) == TFN(1, 1, 1)
@@ -171,7 +140,7 @@ class TestReciprocal:
     def test_six_seven_eight(self):
         got = tfn_reciprocal(TFN(6, 7, 8))
         want = (Fraction(1, 8), Fraction(1, 7), Fraction(1, 6))
-        for g, w in zip(got.as_tuple(), want):
+        for g, w in zip(got, want):
             assert g == pytest.approx(float(w), abs=1e-15)
 
     def test_rejects_nonpositive(self):
@@ -185,22 +154,8 @@ class TestReciprocal:
         for _ in range(300):
             t = TFN(*sorted(rng.uniform(0.01, 50, 3)))
             back = tfn_reciprocal(tfn_reciprocal(t))
-            for g, w in zip(back.as_tuple(), t.as_tuple()):
+            for g, w in zip(back, t):
                 assert abs(g - w) / w <= 1e-12
-
-
-class TestTotalInverse:
-    def test_study_total(self):
-        got = tfn_total_inverse(TFN(11.0107, 13.3642, 15.9899))
-        assert got.l == pytest.approx(0.06254, abs=2e-4)
-        assert got.m == pytest.approx(0.074827, abs=2e-4)
-        assert got.u == pytest.approx(0.090821, abs=2e-4)
-
-    def test_unit(self):
-        assert tfn_total_inverse(TFN(1, 1, 1)) == TFN(1, 1, 1)
-
-    def test_powers_of_two(self):
-        assert tfn_total_inverse(TFN(2, 4, 8)) == TFN(0.125, 0.25, 0.5)
 
 
 class TestGeometricMean:
