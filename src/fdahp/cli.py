@@ -6,7 +6,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import logging
 import sys
 import time
 from pathlib import Path
@@ -28,8 +27,6 @@ from .io import (
 from .report import Report, file_digest
 from .tfn import ValidationMode
 from .verify import checks_passed, format_text, run_study_checks, to_json_dict
-
-log = logging.getLogger("fdahp")
 
 EXIT_OK = 0
 EXIT_VERIFY_FAILED = 1
@@ -94,6 +91,12 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _info(args: argparse.Namespace, msg: str) -> None:
+    """Progress line on stderr, shown only under `--log-level info`."""
+    if args.log_level == "info":
+        print(f"INFO {msg}", file=sys.stderr)
+
+
 def _write_out(text: str, output: str | None) -> None:
     if output:
         Path(output).write_text(text, encoding="utf-8")
@@ -106,7 +109,7 @@ def cmd_screen(args: argparse.Namespace) -> int:
     scale = get_scale(args.scale)
     panel = read_ratings(args.ratings, args.format, scale, ValidationMode.parse(args.mode))
     result = screen(panel, ThresholdStrategy.parse(args.threshold))
-    log.info("screened %d barriers: %d selected", len(result.rows), len(result.selected_ids))
+    _info(args, f"screened {len(result.rows)} barriers: {len(result.selected_ids)} selected")
     report = Report.build(
         inputs={"ratings": {"path": str(args.ratings), "sha256": file_digest(args.ratings)}},
         screening=result,
@@ -121,7 +124,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     mode = ValidationMode.parse(args.mode) if args.mode else None
     matrix = read_matrix(args.matrix, args.format, mode)
     result = run_fahp(matrix)
-    log.info("ranked %d criteria; top is %s", matrix.size, result.rank_order[0])
+    _info(args, f"ranked {matrix.size} criteria; top is {result.rank_order[0]}")
     report = Report.build(
         inputs={"matrix": {"path": str(args.matrix), "sha256": file_digest(args.matrix)}},
         ranking=result,
@@ -156,16 +159,19 @@ def _load_pipeline_config(path: str) -> dict:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _load_pipeline_config(args.config)
-    mode = ValidationMode.parse(cfg.get("mode", "strict"))
-    scale = get_scale(cfg.get("scale", "delphi-10"))
+    try:
+        mode = ValidationMode.parse(cfg.get("mode", "strict"))
+        scale = get_scale(cfg.get("scale", "delphi-10"))
+    except ValidationError as exc:
+        raise ValidationError(f"{args.config}: {exc}") from None
 
     try:
         panel = read_ratings(cfg["ratings"]["path"], cfg["ratings"].get("format"), scale, mode)
         screening = screen(panel, ThresholdStrategy.parse(cfg.get("threshold", "mean")))
     except ValidationError as exc:
         raise ValidationError(f"[screen] {exc}") from None
-    log.info("pipeline: %d of %d barriers selected",
-             len(screening.selected_ids), len(screening.rows))
+    _info(args, f"pipeline: {len(screening.selected_ids)} of {len(screening.rows)} "
+                "barriers selected")
 
     if not screening.selected_ids:
         raise ValidationError(
@@ -240,9 +246,6 @@ def cmd_export(args: argparse.Namespace) -> int:
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
-    level = {"error": logging.ERROR, "warn": logging.WARNING, "info": logging.INFO}
-    logging.basicConfig(level=level[args.log_level], stream=sys.stderr,
-                        format="%(levelname)s %(message)s")
     if not getattr(args, "func", None):
         parser.print_help()
         return EXIT_OK

@@ -12,9 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass
-from importlib import resources
-from typing import Mapping, Sequence
+from typing import Mapping, NamedTuple, Sequence
 
 from .delphi import Barrier, RatingPanel, ScreeningResult
 from .errors import DatasetError, ValidationError
@@ -25,8 +23,7 @@ _RESOURCE = "iot_barriers_study.json"
 _RESOURCE_SHA256 = "bb9f0054deac78ebebecf2fed04f04b23b32634b3968f291016243a210e9f19d"
 
 
-@dataclass(frozen=True)
-class StudyAnomaly:
+class StudyAnomaly(NamedTuple):
     """A known irregularity in the study's printed tables, kept verbatim."""
 
     id: str
@@ -34,8 +31,7 @@ class StudyAnomaly:
     description: str
 
 
-@dataclass(frozen=True)
-class ExpectedScreening:
+class ExpectedScreening(NamedTuple):
     """Printed screening outcome: crisp scores, decisions, threshold bracket."""
 
     scores: dict[str, float]
@@ -46,8 +42,7 @@ class ExpectedScreening:
         return [b for b, d in self.decisions.items() if d == "selected"]
 
 
-@dataclass(frozen=True)
-class ExpectedRanking:
+class ExpectedRanking(NamedTuple):
     """Printed ranking-stage values: row means, totals, weights, ranks."""
 
     row_geometric_means: dict[str, TriangularFuzzyNumber]
@@ -58,8 +53,7 @@ class ExpectedRanking:
     rank_order: list[str]
 
 
-@dataclass(frozen=True)
-class PaperStudy:
+class PaperStudy(NamedTuple):
     """The full bundled study: inputs, expected outputs, and annotations."""
 
     key: str
@@ -125,6 +119,8 @@ def _parse_study(doc: dict) -> PaperStudy:
 
 
 def _load_bytes() -> bytes:
+    from importlib import resources  # only the bundled-study commands pay for this import
+
     try:
         return (resources.files("fdahp") / "data" / _RESOURCE).read_bytes()
     except (FileNotFoundError, ModuleNotFoundError) as exc:

@@ -8,8 +8,8 @@ at or above the threshold.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Mapping, Sequence
+from collections import namedtuple
+from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
 from .tfn import (
@@ -22,8 +22,7 @@ from .tfn import (
 )
 
 
-@dataclass(frozen=True)
-class Barrier:
+class Barrier(NamedTuple):
     """A candidate criterion. `id` is the stable key; `name` is display-only."""
 
     id: str
@@ -35,28 +34,29 @@ class Barrier:
         return self.name or self.id
 
 
-@dataclass(frozen=True)
-class LinguisticScale:
+class LinguisticScale(namedtuple("LinguisticScale", "name entries")):
     """Named mapping from integer rating levels to TFNs.
 
     Ratings must be contiguous from 1, and every TFN must be ordered.
     """
 
-    name: str
-    entries: Mapping[int, TriangularFuzzyNumber]
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if not self.entries:
-            raise ValidationError(f"scale {self.name!r} has no entries")
-        expected = list(range(1, len(self.entries) + 1))
-        if sorted(self.entries) != expected:
+    def __new__(cls, name: str, entries: Mapping[int, TriangularFuzzyNumber]) -> "LinguisticScale":
+        if not entries:
+            raise ValidationError(f"scale {name!r} has no entries")
+        if sorted(entries) != list(range(1, len(entries) + 1)):
             raise ValidationError(
-                f"scale {self.name!r} ratings must be contiguous from 1, got {sorted(self.entries)}"
+                f"scale {name!r} ratings must be contiguous from 1, got {sorted(entries)}"
             )
-        for rating, t in self.entries.items():
+        for rating, t in entries.items():
             if not t.is_monotone:
-                raise ValidationError(f"scale {self.name!r} rating {rating} has unordered TFN {t}")
-        object.__setattr__(self, "entries", dict(self.entries))
+                raise ValidationError(f"scale {name!r} rating {rating} has unordered TFN {t}")
+        return tuple.__new__(cls, (name, dict(entries)))
+
+    @classmethod
+    def _make(cls, iterable) -> "LinguisticScale":
+        return cls(*iterable)  # so that _replace validates too
 
     def tfn(self, rating: int) -> TriangularFuzzyNumber:
         try:
@@ -90,13 +90,12 @@ SCALES: dict[str, LinguisticScale] = {DELPHI_10.name: DELPHI_10}
 def get_scale(name: str) -> LinguisticScale:
     try:
         return SCALES[name]
-    except KeyError:
+    except (KeyError, TypeError):  # TypeError: an unhashable name, e.g. a JSON list
         raise ValidationError(
             f"unknown linguistic scale {name!r} (available: {sorted(SCALES)})"
         ) from None
 
 
-@dataclass
 class RatingPanel:
     """Complete barriers x experts grid of TFN opinions.
 
@@ -105,17 +104,18 @@ class RatingPanel:
     strict mode and are recorded as warnings in lenient mode.
     """
 
-    barriers: tuple[Barrier, ...]
-    experts: tuple[str, ...]
-    ratings: dict[tuple[str, str], TriangularFuzzyNumber]
-    mode: ValidationMode = ValidationMode.STRICT
-    warnings: list[ValidationWarning] = field(default_factory=list, init=False)
-
-    def __post_init__(self) -> None:
-        self.barriers = tuple(
-            b if isinstance(b, Barrier) else Barrier(str(b)) for b in self.barriers
-        )
-        self.experts = tuple(str(e) for e in self.experts)
+    def __init__(
+        self,
+        barriers: Sequence[Barrier | str],
+        experts: Sequence[str],
+        ratings: dict[tuple[str, str], TriangularFuzzyNumber],
+        mode: ValidationMode = ValidationMode.STRICT,
+    ) -> None:
+        self.barriers = tuple(b if isinstance(b, Barrier) else Barrier(str(b)) for b in barriers)
+        self.experts = tuple(str(e) for e in experts)
+        self.ratings = ratings
+        self.mode = mode
+        self.warnings: list[ValidationWarning] = []
         if not self.barriers:
             raise ValidationError("panel needs at least one barrier")
         if not self.experts:
@@ -125,7 +125,7 @@ class RatingPanel:
             raise ValidationError("barrier ids must be unique")
         if len(set(self.experts)) != len(self.experts):
             raise ValidationError("expert ids must be unique")
-        ratings, experts = self.ratings, self.experts
+        experts = self.experts
         for bid in ids:
             for eid in experts:
                 cell = ratings.get((bid, eid))
@@ -185,21 +185,24 @@ class RatingPanel:
         return cls(bs, tuple(str(e) for e in experts), grid, mode)
 
 
-@dataclass(frozen=True)
-class ThresholdStrategy:
+class ThresholdStrategy(namedtuple("ThresholdStrategy", "kind value")):
     """Either the mean of all scores, or a fixed cut value."""
 
-    kind: str
-    value: float | None = None
+    __slots__ = ()
 
-    def __post_init__(self) -> None:
-        if self.kind not in ("mean", "fixed"):
-            raise ValidationError(f"unknown threshold strategy {self.kind!r}")
-        if self.kind == "fixed":
-            if self.value is None or not math.isfinite(self.value):
+    def __new__(cls, kind: str, value: float | None = None) -> "ThresholdStrategy":
+        if kind not in ("mean", "fixed"):
+            raise ValidationError(f"unknown threshold strategy {kind!r}")
+        if kind == "fixed":
+            if value is None or not math.isfinite(value):
                 raise ValidationError("fixed threshold needs a finite value")
-        elif self.value is not None:
+        elif value is not None:
             raise ValidationError("mean threshold takes no value")
+        return tuple.__new__(cls, (kind, value))
+
+    @classmethod
+    def _make(cls, iterable) -> "ThresholdStrategy":
+        return cls(*iterable)  # so that _replace validates too
 
     @classmethod
     def mean(cls) -> "ThresholdStrategy":
@@ -227,8 +230,7 @@ class ThresholdStrategy:
         return self.kind if self.kind == "mean" else f"fixed:{self.value:g}"
 
 
-@dataclass(frozen=True)
-class BarrierScreening:
+class BarrierScreening(NamedTuple):
     """Per-barrier screening outcome."""
 
     barrier: Barrier
@@ -237,14 +239,13 @@ class BarrierScreening:
     selected: bool
 
 
-@dataclass
-class ScreeningResult:
+class ScreeningResult(NamedTuple):
     """Full screening outcome, in the panel's barrier order."""
 
     rows: list[BarrierScreening]
     threshold: float
     strategy: ThresholdStrategy
-    warnings: list[ValidationWarning] = field(default_factory=list)
+    warnings: Sequence[ValidationWarning] = ()
 
     @property
     def selected_ids(self) -> list[str]:

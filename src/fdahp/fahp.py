@@ -7,8 +7,7 @@ to unit sum, and rank.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .delphi import Barrier
 from .errors import ValidationError
@@ -33,7 +32,6 @@ def _as_barriers(criteria: Sequence[Barrier | str]) -> tuple[Barrier, ...]:
     return tuple(c if isinstance(c, Barrier) else Barrier(str(c)) for c in criteria)
 
 
-@dataclass
 class PairwiseMatrix:
     """Square grid of fuzzy pairwise comparisons over an ordered criteria list.
 
@@ -41,13 +39,14 @@ class PairwiseMatrix:
     mode records every violation as a warning and keeps cells exactly as given.
     """
 
-    criteria: tuple[Barrier, ...]
-    cells: tuple[tuple[TriangularFuzzyNumber, ...], ...]
-    mode: ValidationMode = ValidationMode.STRICT
-    warnings: list[ValidationWarning] = field(default_factory=list, init=False)
-
-    def __post_init__(self) -> None:
-        self.criteria = _as_barriers(self.criteria)
+    def __init__(
+        self,
+        criteria: Sequence[Barrier | str],
+        cells: Sequence[Sequence[TriangularFuzzyNumber]],
+        mode: ValidationMode = ValidationMode.STRICT,
+    ) -> None:
+        self.criteria = _as_barriers(criteria)
+        self.mode = mode
         ids = [c.id for c in self.criteria]
         if not ids:
             raise ValidationError("matrix needs at least one criterion")
@@ -56,11 +55,11 @@ class PairwiseMatrix:
         n = len(ids)
         self.cells = tuple(
             tuple(t if isinstance(t, TriangularFuzzyNumber) else TFN(*t) for t in row)
-            for row in self.cells
+            for row in cells
         )
         if len(self.cells) != n or any(len(row) != n for row in self.cells):
             raise ValidationError(f"matrix must be {n}x{n} to match its criteria")
-        self.warnings = validate_cells(self.criteria, self.cells, self.mode)
+        self.warnings = validate_cells(self.criteria, self.cells, mode)
 
     @property
     def size(self) -> int:
@@ -212,8 +211,11 @@ def fuzzy_weights(
         ) from None
     if min(total) <= 0:
         raise ValidationError(f"weight normalization requires positive totals, got {total}")
-    inverse = tfn_reciprocal(total)
-    weights = [tfn_multiply(t, inverse) for t in r]
+    try:  # a subnormal total inverts to inf; a huge weight can overflow too
+        inverse = tfn_reciprocal(total)
+        weights = [tfn_multiply(t, inverse) for t in r]
+    except ValidationError as exc:
+        raise ValidationError(f"weight normalization: {exc} (row-mean total {total})") from None
     return weights, total, inverse
 
 
@@ -239,8 +241,7 @@ def rank(n_weights: Sequence[float]) -> list[int]:
     return ranks
 
 
-@dataclass
-class RankingResult:
+class RankingResult(NamedTuple):
     """All intermediates of one ranking run, in criteria order."""
 
     criteria: tuple[Barrier, ...]
@@ -251,7 +252,7 @@ class RankingResult:
     crisp: list[float]
     normalized: list[float]
     ranks: list[int]
-    warnings: list[ValidationWarning] = field(default_factory=list)
+    warnings: Sequence[ValidationWarning] = ()
 
     @property
     def ids(self) -> list[str]:

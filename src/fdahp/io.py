@@ -62,12 +62,13 @@ def load_json(path: str | Path) -> Any:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
 
 
-def _located(path: Path, build, *args):
-    """`build(*args)`, with the file named in any validation error it raises."""
+def _located(where: str | Path, build, *args):
+    """`build(*args)`, with `where` (a file, or a place in one) prefixed to any
+    validation error it raises."""
     try:
         return build(*args)
     except ValidationError as exc:
-        raise ValidationError(f"{path}: {exc}") from None
+        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _csv_rows(f: TextIO, path: Path) -> Iterator[tuple[int, list[str] | None]]:
@@ -194,16 +195,26 @@ def read_ratings_csv(
     return _located(path, RatingPanel, tuple(map(Barrier, barriers)), tuple(experts), grid, mode)
 
 
-def _parse_barrier_list(items: Sequence[Any]) -> list[Barrier]:
+def _parse_barrier_list(where: str, items: Sequence[Any]) -> list[Barrier]:
     out = []
-    for item in items:
+    for k, item in enumerate(items):
         if isinstance(item, str):
             out.append(Barrier(item))
         elif isinstance(item, dict) and "id" in item:
             out.append(Barrier(str(item["id"]), str(item.get("name", ""))))
         else:
-            raise ValidationError(f"bad barrier entry {item!r}; expected id string or object")
+            raise ValidationError(
+                f"{where}[{k}]: bad barrier entry {item!r}; expected id string or object"
+            )
     return out
+
+
+def _json_list(path: Path, doc: Any, key: str) -> list:
+    """`doc[key]`, which must be a JSON array."""
+    items = doc[key]
+    if not isinstance(items, list):
+        raise ValidationError(f"{path}: {key!r} must be a list, got {type(items).__name__}")
+    return items
 
 
 def read_ratings_json(
@@ -214,13 +225,13 @@ def read_ratings_json(
     path = Path(path)
     doc = load_json(path)
     try:
-        barriers = _parse_barrier_list(doc["barriers"])
+        barriers = _parse_barrier_list(f"{path} barriers", doc["barriers"])
         experts = [str(e) for e in doc["experts"]]
-        entries = doc["ratings"]
+        entries = _json_list(path, doc, "ratings")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: missing or malformed field: {exc}") from None
     if scale is None:
-        scale = get_scale(doc.get("scale", "delphi-10"))
+        scale = _located(path, get_scale, doc.get("scale", "delphi-10"))
     grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
     for k, rec in enumerate(entries):
         where = f"{path} ratings[{k}]"
@@ -235,7 +246,7 @@ def read_ratings_json(
             rating = rec["rating"]
             if isinstance(rating, bool) or not isinstance(rating, int):
                 raise ValidationError(f"{where}: rating must be an integer, got {rating!r}")
-            grid[key] = scale.tfn(rating)
+            grid[key] = _located(where, scale.tfn, rating)
         else:
             raise ValidationError(f"{where}: needs either 'rating' or 'tfn'")
     return _located(path, RatingPanel, tuple(barriers), tuple(experts), grid, mode)
@@ -280,12 +291,12 @@ def read_matrix_json(
     path = Path(path)
     doc = load_json(path)
     try:
-        criteria = _parse_barrier_list(doc["criteria"])
-        cells = doc["cells"]
+        criteria = _parse_barrier_list(f"{path} criteria", doc["criteria"])
+        cells = _json_list(path, doc, "cells")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: missing or malformed field: {exc}") from None
     if mode is None:
-        mode = ValidationMode.parse(doc.get("mode", "strict"))
+        mode = _located(path, ValidationMode.parse, doc.get("mode", "strict"))
     entries = []
     for k, rec in enumerate(cells):
         where = f"{path} cells[{k}]"

@@ -11,9 +11,8 @@ import csv
 import hashlib
 import io
 import json
-from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any
+from typing import Any, NamedTuple, Sequence
 
 from . import __version__
 from .delphi import ScreeningResult
@@ -93,15 +92,14 @@ def serialize_warnings(
     return out
 
 
-@dataclass
-class Report:
+class Report(NamedTuple):
     """Plain-data report: what ran, on which inputs, with what outcome."""
 
     tool: dict[str, str]
     inputs: dict[str, dict[str, str]]
     screening: dict[str, Any] | None
     ranking: dict[str, Any] | None
-    warnings: list[dict[str, str]] = field(default_factory=list)
+    warnings: Sequence[dict[str, str]] = ()
     timing_ms: float | None = None
 
     @classmethod
@@ -126,18 +124,8 @@ class Report:
             timing_ms=round6(timing_ms) if timing_ms is not None else None,
         )
 
-    def to_json_dict(self) -> dict[str, Any]:
-        return {
-            "tool": self.tool,
-            "inputs": self.inputs,
-            "screening": self.screening,
-            "ranking": self.ranking,
-            "warnings": self.warnings,
-            "timing_ms": self.timing_ms,
-        }
-
     def to_json(self) -> str:
-        return json.dumps(self.to_json_dict(), indent=2, ensure_ascii=False) + "\n"
+        return json.dumps(self._asdict(), indent=2, ensure_ascii=False) + "\n"
 
     # ------------------------------------------------------------- csv / md
 

@@ -8,9 +8,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from dataclasses import dataclass
 from enum import Enum
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
 
@@ -23,6 +22,8 @@ class ValidationMode(Enum):
 
     @classmethod
     def parse(cls, text: str) -> "ValidationMode":
+        if not isinstance(text, str):
+            raise ValidationError(f"validation mode must be a string, got {text!r}")
         try:
             return cls(text.lower())
         except ValueError:
@@ -31,8 +32,7 @@ class ValidationMode(Enum):
             ) from None
 
 
-@dataclass(frozen=True)
-class ValidationWarning:
+class ValidationWarning(NamedTuple):
     """A single recorded violation from lenient-mode validation."""
 
     code: str

@@ -2,8 +2,7 @@
 compare every computed value against the study's printed digits."""
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Any
+from typing import Any, NamedTuple
 
 from .dataset import PaperStudy, renumber_selected
 from .delphi import screen
@@ -18,8 +17,7 @@ INVERSE_TOL = 0.0005
 WEIGHT_TOL = 0.002
 
 
-@dataclass(frozen=True)
-class CheckResult:
+class CheckResult(NamedTuple):
     name: str
     expected: str
     computed: str
@@ -190,19 +188,7 @@ def format_text(study: PaperStudy, checks: list[CheckResult]) -> str:
 def to_json_dict(study: PaperStudy, checks: list[CheckResult]) -> dict[str, Any]:
     return {
         "study": study.key,
-        "checks": [
-            {
-                "name": c.name,
-                "expected": c.expected,
-                "computed": c.computed,
-                "tolerance": c.tolerance,
-                "ok": c.ok,
-            }
-            for c in checks
-        ],
-        "anomalies": [
-            {"id": a.id, "location": a.location, "description": a.description}
-            for a in study.anomalies
-        ],
+        "checks": [c._asdict() for c in checks],
+        "anomalies": [a._asdict() for a in study.anomalies],
         "passed": checks_passed(checks),
     }

@@ -10,14 +10,6 @@ from fdahp.cli import main
 STUDY_ORDER = ["B10", "B9", "B7", "B5", "B3", "B2", "B4", "B1", "B8", "B6", "B11"]
 
 
-@pytest.fixture(scope="module")
-def exported(tmp_path_factory):
-    dest = tmp_path_factory.mktemp("study")
-    assert main(["export", "--dest", str(dest), "--format", "csv"]) == 0
-    assert main(["export", "--dest", str(dest), "--format", "json"]) == 0
-    return dest
-
-
 def run(capsys, argv):
     code = main(argv)
     captured = capsys.readouterr()
@@ -53,6 +45,30 @@ class TestScreen:
         )
         assert code == 2
         assert "11" in err
+
+    def test_json_ratings_not_a_list_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "r.json"
+        f.write_text('{"barriers": ["A"], "experts": ["E1"], "ratings": 5}', encoding="utf-8")
+        code, out, err = run(capsys, ["screen", "--ratings", str(f)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}: 'ratings' must be a list, got int\n"
+
+    def test_json_rating_off_scale_names_the_entry(self, capsys, tmp_path):
+        f = tmp_path / "r.json"
+        rec = {"barrier_id": "A", "expert_id": "E1", "rating": 11}
+        f.write_text(json.dumps({"barriers": ["A"], "experts": ["E1"], "ratings": [rec]}),
+                     encoding="utf-8")
+        code, out, err = run(capsys, ["screen", "--ratings", str(f)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f} ratings[0]: rating 11 is not on scale 'delphi-10'")
+
+    def test_json_bad_barrier_entry_names_the_entry(self, capsys, tmp_path):
+        f = tmp_path / "r.json"
+        f.write_text('{"barriers": ["A", ["B"]], "experts": ["E1"], "ratings": []}',
+                     encoding="utf-8")
+        code, out, err = run(capsys, ["screen", "--ratings", str(f)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f} barriers[1]: bad barrier entry ['B']")
 
     def test_fixed_threshold(self, capsys, tmp_path):
         f = tmp_path / "r.csv"
@@ -147,6 +163,36 @@ class TestRank:
         code, out, err = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
         assert (code, out) == (2, "")
         assert err.startswith("error: weight normalization: ")
+
+    def test_subnormal_weight_total_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "tiny.csv"
+        f.write_text("row_id,col_id,l,m,u\nA,A,1e-310,1e-310,1e-310\n", encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
+        assert (code, out) == (2, "")
+        assert err.startswith("error: weight normalization: ")
+
+    def test_json_cells_not_a_list_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text('{"criteria": ["A"], "cells": 5}', encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}: 'cells' must be a list, got int\n"
+
+    def test_json_bad_criterion_entry_names_the_entry(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        f.write_text('{"criteria": [3], "cells": []}', encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f} criteria[0]: bad barrier entry 3")
+
+    def test_json_non_string_mode_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "m.json"
+        cell = '{"row": "A", "col": "B", "tfn": [1, 2, 3]}'
+        f.write_text(f'{{"criteria": ["A", "B"], "mode": 5, "cells": [{cell}]}}',
+                     encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}: validation mode must be a string, got 5\n"
 
     def test_json_matrix_uses_its_own_mode(self, capsys, exported):
         code, out, _ = run(
@@ -246,6 +292,17 @@ class TestPipeline:
         code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
         assert (code, out) == (2, "")
         assert "unsupported tie_break 'random'" in err
+
+    @pytest.mark.parametrize("extra, message", [
+        ({"mode": 5}, "validation mode must be a string, got 5"),
+        ({"scale": ["delphi-10"]}, "unknown linguistic scale ['delphi-10']"),
+    ])
+    def test_bad_mode_or_scale_names_the_config(self, capsys, tmp_path, exported,
+                                                extra, message):
+        cfg = self.make_config(tmp_path, exported, **extra)
+        code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cfg}: {message}")
 
     @pytest.mark.parametrize("content", [b'{"ratings": "\xff"}', b"[1, 2]"])
     def test_unusable_config_exits_2(self, capsys, tmp_path, content):

@@ -1,5 +1,6 @@
 """Screening stage: scale encoding, aggregation, thresholding, decisions."""
 import math
+import pickle
 
 import numpy as np
 import pytest
@@ -7,7 +8,9 @@ import pytest
 from fdahp import (
     DELPHI_10,
     Barrier,
+    LinguisticScale,
     RatingPanel,
+    ScreeningResult,
     TFN,
     ThresholdStrategy,
     ValidationError,
@@ -18,6 +21,7 @@ from fdahp import (
     score_barriers,
     screen,
 )
+from fdahp.delphi import BarrierScreening
 
 # Crisp scores recomputed with a 50-digit arithmetic oracle and frozen here;
 # the study's printed values are asserted separately at their own tolerance.
@@ -55,8 +59,9 @@ class TestScale:
             DELPHI_10.tfn(11)
 
     def test_unknown_scale_name(self):
-        with pytest.raises(ValidationError):
-            get_scale("nope-5")
+        for name in ("nope-5", ["delphi-10"]):  # a JSON list is unhashable
+            with pytest.raises(ValidationError, match="unknown linguistic scale"):
+                get_scale(name)
 
     def test_scale_must_be_contiguous(self):
         from fdahp import LinguisticScale
@@ -125,6 +130,45 @@ class TestPanelValidation:
     def test_parse_rejects_non_string(self):
         with pytest.raises(ValidationError):
             ThresholdStrategy.parse(5.0)
+
+
+class TestRecords:
+    """Records are named tuples; the validated ones re-validate on `_replace`."""
+
+    def test_barrier_is_a_value(self):
+        a = Barrier("A", "alpha")
+        assert a == Barrier("A", "alpha") and hash(a) == hash(Barrier("A", "alpha"))
+        assert a != Barrier("A")
+        assert repr(a) == "Barrier(id='A', name='alpha', description=None)"
+        bid, name, _ = a
+        assert (bid, name, a.label, Barrier("A").label) == ("A", "alpha", "alpha", "A")
+        with pytest.raises(AttributeError):
+            a.name = "beta"
+
+    def test_screening_result_defaults_to_no_warnings(self):
+        row = BarrierScreening(Barrier("A"), TFN(1, 2, 3), 2.0, True)
+        result = ScreeningResult([row], 2.0, ThresholdStrategy.mean())
+        assert result.warnings == ()
+        assert result == ScreeningResult([row], 2.0, ThresholdStrategy.mean(), ())
+        with pytest.raises(AttributeError):
+            result.threshold = 3.0
+
+    def test_threshold_strategy_validates_every_construction(self):
+        fixed = ThresholdStrategy.fixed(5)
+        assert repr(fixed) == "ThresholdStrategy(kind='fixed', value=5.0)"
+        assert fixed._replace(value=6.0) == ThresholdStrategy.fixed(6)
+        assert pickle.loads(pickle.dumps(fixed)) == fixed
+        with pytest.raises(ValidationError, match="takes no value"):
+            ThresholdStrategy.mean()._replace(value=1.0)
+        with pytest.raises(ValidationError, match="finite value"):
+            ThresholdStrategy("fixed")
+
+    def test_scale_validates_every_construction(self):
+        with pytest.raises(ValidationError, match="contiguous"):
+            DELPHI_10._replace(entries={1: TFN(0, 0, 1), 3: TFN(1, 2, 3)})
+        with pytest.raises(ValidationError, match="unordered"):
+            LinguisticScale("bad", {1: TFN(2, 1, 3)})
+        assert pickle.loads(pickle.dumps(DELPHI_10)) == DELPHI_10
 
 
 class TestAggregateAndScore:

@@ -16,6 +16,7 @@ import pytest
 from fdahp import (
     TFN,
     ValidationError,
+    ValidationMode,
     aggregate_min_geo_max,
     centroid_defuzzify,
     geometric_mean,
@@ -68,6 +69,13 @@ def test_tfn_has_no_tuple_concatenation_or_repetition():
     for op in (lambda: t + t, lambda: t + (1.0,), lambda: 2 * t, lambda: t * 2):
         with pytest.raises(TypeError):
             op()
+
+
+def test_validation_mode_parse():
+    assert ValidationMode.parse("LENIENT") is ValidationMode.LENIENT
+    for bad, message in ((5, "must be a string, got 5"), ("loose", "unknown validation mode")):
+        with pytest.raises(ValidationError, match=message):
+            ValidationMode.parse(bad)
 
 
 def test_tfn_holds_non_monotone_triples():
