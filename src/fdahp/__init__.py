@@ -52,7 +52,6 @@ from .tfn import (
     aggregate_min_geo_max,
     centroid_defuzzify,
     geometric_mean,
-    tfn_add,
     tfn_multiply,
     tfn_reciprocal,
 )
@@ -63,7 +62,6 @@ __all__ = [
     "TriangularFuzzyNumber",
     "ValidationMode",
     "ValidationWarning",
-    "tfn_add",
     "tfn_multiply",
     "tfn_reciprocal",
     "geometric_mean",

@@ -57,7 +57,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ratings", required=True, metavar="PATH")
     p.add_argument("--format", choices=["csv", "json"], default=None,
                    help="input format (default: by file extension)")
-    p.add_argument("--scale", default="delphi-10", help="linguistic scale for integer ratings")
+    p.add_argument("--scale", help="integer-rating scale (default: the file's, else delphi-10)")
     p.add_argument("--threshold", default="mean", metavar="mean|fixed:V")
     p.add_argument("--mode", choices=["strict", "lenient"], default="strict")
     _add_output_args(p)
@@ -106,7 +106,7 @@ def _write_out(text: str, output: str | None) -> None:
 
 def cmd_screen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    scale = get_scale(args.scale)
+    scale = get_scale(args.scale) if args.scale is not None else None
     panel = read_ratings(args.ratings, args.format, scale, ValidationMode.parse(args.mode))
     result = screen(panel, ThresholdStrategy.parse(args.threshold))
     _info(args, f"screened {len(result.rows)} barriers: {len(result.selected_ids)} selected")

@@ -44,6 +44,7 @@ class PairwiseMatrix:
         criteria: Sequence[Barrier | str],
         cells: Sequence[Sequence[TriangularFuzzyNumber]],
         mode: ValidationMode = ValidationMode.STRICT,
+        *, _exact: Sequence[Sequence[int]] = (),
     ) -> None:
         self.criteria = _as_barriers(criteria)
         self.mode = mode
@@ -59,7 +60,7 @@ class PairwiseMatrix:
         )
         if len(self.cells) != n or any(len(row) != n for row in self.cells):
             raise ValidationError(f"matrix must be {n}x{n} to match its criteria")
-        self.warnings = validate_cells(self.criteria, self.cells, mode)
+        self.warnings = validate_cells(self.criteria, self.cells, mode, _exact=_exact)
 
     @property
     def size(self) -> int:
@@ -69,16 +70,12 @@ class PairwiseMatrix:
     def ids(self) -> list[str]:
         return [c.id for c in self.criteria]
 
-    def cell(self, row_id: str, col_id: str) -> TriangularFuzzyNumber:
-        i = self.ids.index(row_id)
-        j = self.ids.index(col_id)
-        return self.cells[i][j]
-
 
 def validate_cells(
     criteria: Sequence[Barrier],
     cells: Sequence[Sequence[TriangularFuzzyNumber]],
     mode: ValidationMode,
+    *, _exact: Sequence[Sequence[int]] = (),
 ) -> list[ValidationWarning]:
     """Check cell ordering, unit diagonal, and reciprocity.
 
@@ -86,7 +83,7 @@ def validate_cells(
     cell, lenient mode returns one warning per violation. Pairs whose forward
     cell has a nonpositive component cannot be reciprocity-checked and are
     reported as such; a forward cell whose reciprocal overflows raises in
-    both modes.
+    both modes. A pair i < j whose `_exact[j][i]` is set skips the reciprocity test.
     """
     ids = [c.id for c in criteria]
     n = len(ids)
@@ -113,9 +110,9 @@ def validate_cells(
                 f"({ids[i]},{ids[i]})",
                 f"diagonal cell is {cells[i][i]}, expected (1, 1, 1)",
             )
-    for i in range(n):
-        row = cells[i]
-        for j in range(i + 1, n):
+    for i, row in enumerate(cells):
+        js = range(i + 1, n)
+        for j in [j for j in js if not _exact[j][i]] if _exact else js:
             fl, fm, fu = fwd = row[j]
             bl, bm, bu = back = cells[j][i]
             if fl <= 0 or fm <= 0 or fu <= 0 or bl <= 0 or bm <= 0 or bu <= 0:
@@ -170,21 +167,31 @@ def build_matrix(
     for i in range(n):
         if grid[i][i] is None:
             grid[i][i] = UNIT_TFN
-    for i in range(n):
+    # exact[i][j] is set where (i,j) is filled as the exact float reciprocal of (j,i)
+    exact = [bytearray(n) for _ in range(n)]
+    missing = []
+    for i, row in enumerate(grid):
         for j in range(n):
-            if grid[i][j] is None and grid[j][i] is not None:
-                try:
-                    grid[i][j] = tfn_reciprocal(grid[j][i])  # type: ignore[arg-type]
-                except ValidationError as exc:
-                    raise ValidationError(
-                        f"auto-fill of ({ids[i]},{ids[j]}) from ({ids[j]},{ids[i]}): {exc}"
-                    ) from None
-    missing = [
-        f"({ids[i]},{ids[j]})" for i in range(n) for j in range(n) if grid[i][j] is None
-    ]
+            if row[j] is not None:
+                continue
+            if (f := grid[j][i]) is None:
+                missing.append(f"({ids[i]},{ids[j]})")
+                continue
+            fl, fm, fu = f
+            if type(f) is TFN and fl > 0 and fm > 0 and fu > 0 and (
+                    1 / fl + 1 / fm + 1 / fu < math.inf):
+                row[j] = tuple.__new__(TFN, (1.0 / fu, 1.0 / fm, 1.0 / fl))
+                exact[i][j] = 1
+                continue
+            try:
+                row[j] = tfn_reciprocal(f)
+            except ValidationError as exc:
+                raise ValidationError(
+                    f"auto-fill of ({ids[i]},{ids[j]}) from ({ids[j]},{ids[i]}): {exc}"
+                ) from None
     if missing:
         raise ValidationError(f"matrix incomplete after auto-fill; missing cells: {missing}")
-    return PairwiseMatrix(crits, tuple(tuple(row) for row in grid), mode)  # type: ignore[arg-type]
+    return PairwiseMatrix(crits, tuple(map(tuple, grid)), mode, _exact=exact)  # type: ignore
 
 
 def row_geometric_means(m: PairwiseMatrix) -> list[TriangularFuzzyNumber]:

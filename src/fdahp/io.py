@@ -225,8 +225,8 @@ def read_ratings_json(
     path = Path(path)
     doc = load_json(path)
     try:
-        barriers = _parse_barrier_list(f"{path} barriers", doc["barriers"])
-        experts = [str(e) for e in doc["experts"]]
+        barriers = _parse_barrier_list(f"{path} barriers", _json_list(path, doc, "barriers"))
+        experts = [str(e) for e in _json_list(path, doc, "experts")]
         entries = _json_list(path, doc, "ratings")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: missing or malformed field: {exc}") from None
@@ -291,7 +291,7 @@ def read_matrix_json(
     path = Path(path)
     doc = load_json(path)
     try:
-        criteria = _parse_barrier_list(f"{path} criteria", doc["criteria"])
+        criteria = _parse_barrier_list(f"{path} criteria", _json_list(path, doc, "criteria"))
         cells = _json_list(path, doc, "cells")
     except (KeyError, TypeError) as exc:
         raise ValidationError(f"{path}: missing or malformed field: {exc}") from None

@@ -104,11 +104,6 @@ TFN = TriangularFuzzyNumber
 UNIT_TFN = TFN(1.0, 1.0, 1.0)
 
 
-def tfn_add(a: TFN, b: TFN) -> TFN:
-    """Componentwise sum."""
-    return TFN(a.l + b.l, a.m + b.m, a.u + b.u)
-
-
 def tfn_multiply(a: TFN, b: TFN) -> TFN:
     """Componentwise product (the standard TFN approximation).
 

@@ -1,4 +1,4 @@
-"""Shared random-input generators for property checks."""
+"""Shared test helpers: random-input generators for property checks, and cell lookup by id."""
 from fdahp import TFN, build_matrix, tfn_reciprocal
 from fdahp.tfn import ValidationMode
 
@@ -34,3 +34,8 @@ def random_reciprocal_matrix(rng, n, mode=ValidationMode.STRICT, continuous=Fals
             entries.append((ids[i], ids[j], t))
             k += 1
     return build_matrix(entries, ids, mode)
+
+
+def cell(m, row_id, col_id):
+    """The cell of matrix `m` at (row_id, col_id), looked up by criterion id."""
+    return m.cells[m.ids.index(row_id)][m.ids.index(col_id)]

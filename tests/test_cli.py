@@ -53,6 +53,30 @@ class TestScreen:
         assert (code, out) == (2, "")
         assert err == f"error: {f}: 'ratings' must be a list, got int\n"
 
+    @pytest.mark.parametrize("field", ["barriers", "experts"])
+    def test_json_id_string_is_not_a_list(self, capsys, tmp_path, field):
+        # a string must not be read as one id per character
+        doc = {"barriers": ["A"], "experts": ["E1"],
+               "ratings": [{"barrier_id": "A", "expert_id": "E1", "rating": 5}]}
+        doc[field] = "AE1"
+        f = tmp_path / "r.json"
+        f.write_text(json.dumps(doc), encoding="utf-8")
+        code, out, err = run(capsys, ["screen", "--ratings", str(f)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}: {field!r} must be a list, got str\n"
+
+    def test_json_file_scale_applies(self, capsys, tmp_path):
+        f = tmp_path / "r.json"
+        f.write_text('{"scale": "likert-5", "barriers": ["A"], "experts": ["E1"], '
+                     '"ratings": [{"barrier_id": "A", "expert_id": "E1", "rating": 5}]}',
+                     encoding="utf-8")
+        code, out, err = run(capsys, ["screen", "--ratings", str(f)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {f}: unknown linguistic scale 'likert-5' (available: ")
+        code, out, _ = run(capsys, ["screen", "--ratings", str(f), "--scale", "delphi-10"])
+        assert code == 0
+        assert json.loads(out)["screening"]["barriers"][0]["aggregate"] == [4.0, 5.0, 6.0]
+
     def test_json_rating_off_scale_names_the_entry(self, capsys, tmp_path):
         f = tmp_path / "r.json"
         rec = {"barrier_id": "A", "expert_id": "E1", "rating": 11}
@@ -177,6 +201,15 @@ class TestRank:
         code, out, err = run(capsys, ["rank", "--matrix", str(f)])
         assert (code, out) == (2, "")
         assert err == f"error: {f}: 'cells' must be a list, got int\n"
+
+    def test_json_criteria_string_is_not_a_list(self, capsys, tmp_path):
+        # a string must not be read as one criterion id per character
+        f = tmp_path / "m.json"
+        f.write_text('{"criteria": "AB", "cells": [{"row": "A", "col": "B", "tfn": [1, 2, 3]}]}',
+                     encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {f}: 'criteria' must be a list, got str\n"
 
     def test_json_bad_criterion_entry_names_the_entry(self, capsys, tmp_path):
         f = tmp_path / "m.json"

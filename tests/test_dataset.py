@@ -23,6 +23,7 @@ from fdahp.io import (
     write_ratings_json,
 )
 from fdahp.tfn import ValidationMode
+from helpers import cell
 
 EXPECTED_MAP = {
     "B1": "B1", "B2": "B2", "B4": "B3", "B5": "B4", "B9": "B5", "B10": "B6",
@@ -37,8 +38,8 @@ class TestLoad:
 
     def test_matrix_shape_and_spot_cell(self, study):
         assert study.fahp_matrix.size == 11
-        assert study.fahp_matrix.cell("B2", "B5") == TFN(9, 9, 9)
-        assert study.fahp_matrix.cell("B8", "B4") == TFN(0.17, 0.2, 0.17)
+        assert cell(study.fahp_matrix, "B2", "B5") == TFN(9, 9, 9)
+        assert cell(study.fahp_matrix, "B8", "B4") == TFN(0.17, 0.2, 0.17)
 
     def test_expected_top_criterion(self, study):
         assert study.fahp_expected.ranking["B10"] == 1

@@ -45,7 +45,7 @@ ORACLE_N = {
 }
 STUDY_ORDER = ["B10", "B9", "B7", "B5", "B3", "B2", "B4", "B1", "B8", "B6", "B11"]
 
-from helpers import random_reciprocal_matrix  # noqa: E402
+from helpers import cell, random_reciprocal_matrix  # noqa: E402
 
 
 class TestValidate:
@@ -113,8 +113,8 @@ class TestValidate:
 class TestBuildMatrix:
     def test_reciprocal_fill(self):
         m = build_matrix([("A", "B", TFN(2, 3, 4))], ["A", "B"])
-        assert m.cell("B", "A") == pytest.approx((0.25, 1 / 3, 0.5))
-        assert m.cell("A", "A") == TFN(1, 1, 1)
+        assert cell(m, "B", "A") == pytest.approx((0.25, 1 / 3, 0.5))
+        assert cell(m, "A", "A") == TFN(1, 1, 1)
 
     def test_empty_entries_one_criterion(self):
         m = build_matrix([], ["A"])
@@ -153,12 +153,12 @@ class TestBuildMatrix:
             [("A", "B", TFN(6, 7, 8)), ("B", "A", TFN(0.125, 0.147, 0.17))],
             ["A", "B"],
         )
-        assert m.cell("B", "A") == TFN(0.125, 0.147, 0.17)
+        assert cell(m, "B", "A") == TFN(0.125, 0.147, 0.17)
 
     def test_study_rows_survive_the_build(self, study):
         m = study.fahp_matrix
         entries = [
-            (rid, cid, m.cell(rid, cid)) for rid in m.ids for cid in m.ids
+            (rid, cid, cell(m, rid, cid)) for rid in m.ids for cid in m.ids
         ]
         rebuilt = build_matrix(entries, list(m.criteria), ValidationMode.LENIENT)
         assert rebuilt.cells[0] == m.cells[0]

@@ -6,6 +6,7 @@ import pytest
 from fdahp import TFN, ValidationError
 from fdahp.io import detect_format, read_matrix, read_ratings
 from fdahp.tfn import ValidationMode
+from helpers import cell
 
 
 def write(tmp_path, name, text):
@@ -238,14 +239,14 @@ class TestMatrixFiles:
         p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,2,3,4\n")
         m = read_matrix(p)
         assert m.ids == ["A", "B"]
-        assert m.cell("B", "A") == pytest.approx((0.25, 1 / 3, 0.5))
+        assert cell(m, "B", "A") == pytest.approx((0.25, 1 / 3, 0.5))
 
     def test_csv_criteria_keep_first_seen_order(self, tmp_path):
         p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nC,A,2,3,4\nB,C,1,1,1\nA,B,1,2,3\n")
         m = read_matrix(p)
         assert m.ids == ["C", "A", "B"]
-        assert m.cell("C", "A") == TFN(2, 3, 4)
-        assert m.cell("B", "A") == TFN(1 / 3, 0.5, 1.0)
+        assert cell(m, "C", "A") == TFN(2, 3, 4)
+        assert cell(m, "B", "A") == TFN(1 / 3, 0.5, 1.0)
 
     def test_csv_bad_header(self, tmp_path):
         p = write(tmp_path, "m.csv", "a,b,c\n1,2,3\n")
@@ -274,7 +275,7 @@ class TestMatrixFiles:
 
     def test_csv_trailing_empty_fields_accepted(self, tmp_path):
         p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,2,3,4,\nB,A,0.25,0.33,0.5,,\n")
-        assert read_matrix(p).cell("B", "A") == TFN(0.25, 0.33, 0.5)
+        assert cell(read_matrix(p), "B", "A") == TFN(0.25, 0.33, 0.5)
 
     @pytest.mark.parametrize("encoding", ["utf-8", "utf-8-sig"])
     def test_csv_padded_header_accepted(self, tmp_path, encoding):
@@ -283,7 +284,7 @@ class TestMatrixFiles:
         with pytest.raises(ValidationError, match=r"line 3: non-empty fields beyond .*\['9'\]"):
             read_matrix(p)
         p.write_bytes("row_id,col_id,l,m,u,\nA,B,2,3,4,\n".encode(encoding))
-        assert read_matrix(p).cell("A", "B") == TFN(2, 3, 4)
+        assert cell(read_matrix(p), "A", "B") == TFN(2, 3, 4)
 
     def test_csv_overflowing_value_names_line(self, tmp_path):
         p = write(tmp_path, "m.csv", "row_id,col_id,l,m,u\nA,B,1e400,3,4\n")

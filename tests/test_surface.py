@@ -8,7 +8,7 @@ import fdahp
 PUBLIC = {
     "__version__",
     "TFN", "TriangularFuzzyNumber", "ValidationMode", "ValidationWarning",
-    "tfn_add", "tfn_multiply", "tfn_reciprocal", "geometric_mean",
+    "tfn_multiply", "tfn_reciprocal", "geometric_mean",
     "aggregate_min_geo_max", "centroid_defuzzify",
     "Barrier", "LinguisticScale", "DELPHI_10", "get_scale", "RatingPanel",
     "ThresholdStrategy", "ScreeningResult", "aggregate_panel", "score_barriers",
@@ -25,7 +25,7 @@ BENCH_WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
 
 
 def test_all_is_the_pinned_surface():
-    assert len(PUBLIC) == 39
+    assert len(PUBLIC) == 38
     assert set(fdahp.__all__) == PUBLIC
     assert len(fdahp.__all__) == len(PUBLIC)
     for name in fdahp.__all__:

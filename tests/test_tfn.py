@@ -20,7 +20,6 @@ from fdahp import (
     aggregate_min_geo_max,
     centroid_defuzzify,
     geometric_mean,
-    tfn_add,
     tfn_multiply,
     tfn_reciprocal,
 )
@@ -105,24 +104,14 @@ class TestMultiply:
             tfn_multiply(TFN(-1, 2, 3), TFN(1, 1, 1))
 
 
-class TestAdd:
-    def test_additive_identity(self):
-        assert tfn_add(TFN(1, 2, 3), TFN(0, 0, 0)) == TFN(1, 2, 3)
-
-    def test_ones(self):
-        assert tfn_add(TFN(1, 1, 1), TFN(1, 1, 1)) == TFN(2, 2, 2)
+class TestTotalInverse:
+    """The ranking stage inverts the row-mean total with tfn_reciprocal."""
 
     def test_sum_of_study_row_means(self, study):
-        total = TFN(0, 0, 0)
-        for t in study.fahp_expected.row_geometric_means.values():
-            total = tfn_add(total, t)
+        total = TFN(*map(math.fsum, zip(*study.fahp_expected.row_geometric_means.values())))
         assert total.l == pytest.approx(11.0107, abs=1e-3)
         assert total.m == pytest.approx(13.3642, abs=1e-3)
         assert total.u == pytest.approx(15.9899, abs=1e-3)
-
-
-class TestTotalInverse:
-    """The ranking stage inverts the row-mean total with tfn_reciprocal."""
 
     def test_study_total(self):
         got = tfn_reciprocal(TFN(11.0107, 13.3642, 15.9899))

@@ -1,13 +1,22 @@
-"""Property test: validate_cells against a plain reference of its documented rules."""
+"""Property tests: validate_cells against a plain reference of its documented rules,
+and build_matrix against a full validation of the matrix it assembles."""
 import math
+import sys
 
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import given, settings  # noqa: E402
+from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fdahp import Barrier, TFN, ValidationError, ValidationMode  # noqa: E402
+from fdahp import (  # noqa: E402
+    TFN,
+    Barrier,
+    ValidationError,
+    ValidationMode,
+    build_matrix,
+    tfn_reciprocal,
+)
 from fdahp.fahp import validate_cells  # noqa: E402
 
 # Components that exercise every branch of validate_cells: ordinary positives,
@@ -107,3 +116,110 @@ def test_validate_cells_matches_reference(raw):
         with pytest.raises(ValidationError) as exc:
             validate_cells(criteria, cells, ValidationMode.STRICT)
         assert str(exc.value) == first
+
+
+# Entry components for sparse matrices. Half the drawn matrices also use
+# zero, a negative and a subnormal whose reciprocal overflows (1e-310), which
+# make auto-fill fail. Both halves draw the largest float, whose reciprocal
+# is subnormal and inverts back to inf.
+_FILLABLE = st.one_of(st.floats(0.1, 9.0), st.sampled_from([1e-308, 1.0, sys.float_info.max]))
+_ANY = st.one_of(_FILLABLE, st.sampled_from([0.0, -1.0, 1e-310]))
+
+
+def _entry_triples(component, ints):
+    floats = st.tuples(component, component, component)
+    return st.one_of(
+        floats.map(sorted).map(lambda t: TFN(*t)),
+        floats.map(lambda t: TFN(*t)),
+        st.tuples(ints, ints, ints),
+    )
+
+
+FILLABLE_TRIPLES = _entry_triples(_FILLABLE, st.integers(1, 9))
+ANY_TRIPLES = _entry_triples(_ANY, st.integers(-1, 9))
+
+
+@st.composite
+def sparse_entries(draw):
+    """(ids, entries): every pair given as upper only, lower only, or both."""
+    n = draw(st.integers(1, 7))
+    ids = [f"C{k}" for k in range(n)]
+    triples = ANY_TRIPLES if draw(st.booleans()) else FILLABLE_TRIPLES
+    entries = []
+    for i in range(n):
+        diag = draw(st.one_of(st.none(), st.none(), triples))
+        if diag is not None:
+            entries.append((ids[i], ids[i], diag))
+        for j in range(i + 1, n):
+            shape = draw(st.sampled_from(["upper", "lower", "both"]))
+            fwd = draw(triples)
+            if shape == "lower":
+                entries.append((ids[j], ids[i], fwd))
+                continue
+            entries.append((ids[i], ids[j], fwd))
+            if shape == "both":
+                factors = draw(st.tuples(FACTORS, FACTORS, FACTORS))
+                recip = [f / x for f, x in zip(factors, reversed(fwd))] if min(fwd) > 0 else None
+                if recip is not None and all(map(math.isfinite, recip)):
+                    back = TFN(*recip)
+                else:
+                    back = draw(triples)
+                entries.append((ids[j], ids[i], back))
+    return ids, draw(st.permutations(entries))
+
+
+def reference_fill(ids, entries):
+    """The dense grid, each missing mirror filled by `tfn_reciprocal` of its
+    given counterpart; or the auto-fill error text of the first failing cell."""
+    n = len(ids)
+    index = {cid: k for k, cid in enumerate(ids)}
+    given = [[None] * n for _ in range(n)]
+    for r, c, t in entries:
+        given[index[r]][index[c]] = t
+    grid = [[None] * n for _ in range(n)]
+    for i in range(n):
+        for j in range(n):
+            t = given[i][j]
+            if i == j and t is None:
+                t = (1.0, 1.0, 1.0)
+            elif t is None:
+                try:
+                    t = tfn_reciprocal(given[j][i])
+                except ValidationError as exc:
+                    return None, f"auto-fill of ({ids[i]},{ids[j]}) from ({ids[j]},{ids[i]}): {exc}"
+            grid[i][j] = TFN(*t)
+    return tuple(map(tuple, grid)), None
+
+
+def _outcome(fn, *args):
+    """The warnings `fn` returns, or the text of the `ValidationError` it raises."""
+    try:
+        return fn(*args)
+    except ValidationError as exc:
+        return str(exc)
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(sparse_entries())
+@example((["A", "B"], [("B", "A", (sys.float_info.max,) * 3)]))
+@example((["A", "B"], [("B", "A", TFN(1.0, 2.0, sys.float_info.max))]))
+@example((["A", "B"], [("A", "B", TFN(1e-310, 1.0, 2.0))]))
+def test_build_matrix_matches_full_validation(drawn):
+    # build_matrix skips the reciprocity test where it filled a lower mirror
+    # itself; the verdicts must be those of checking every pair
+    ids, entries = drawn
+    cells, fill_error = reference_fill(ids, entries)
+    criteria = tuple(Barrier(i) for i in ids)
+    for mode in ValidationMode:
+        built = _outcome(build_matrix, entries, ids, mode)
+        if fill_error is not None:
+            assert built == fill_error
+            continue
+        expected = _outcome(validate_cells, criteria, cells, mode)
+        if isinstance(expected, str):
+            assert built == expected
+            continue
+        assert not isinstance(built, str), built
+        assert built.cells == cells
+        assert all(type(t) is TFN for row in built.cells for t in row)
+        assert built.warnings == expected
