@@ -104,19 +104,29 @@ def _write_out(text: str, output: str | None) -> None:
         sys.stdout.write(text)
 
 
+def _emit_report(
+    args: argparse.Namespace, t0: float, inputs: dict, emit: str = "json",
+    output: str | None = None, **results,
+) -> int:
+    """Digest every input file ({name: path}), build the report from `results`
+    and write it; `--emit` and `--output` win over `emit` and `output`."""
+    report = Report.build(
+        inputs={name: {"path": str(path), "sha256": file_digest(path)}
+                for name, path in inputs.items()},
+        timing_ms=(time.perf_counter() - t0) * 1000 if args.timing else None,
+        **results,
+    )
+    _write_out(report.emit(args.emit or emit), args.output or output)
+    return EXIT_OK
+
+
 def cmd_screen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     scale = get_scale(args.scale) if args.scale is not None else None
     panel = read_ratings(args.ratings, args.format, scale, ValidationMode.parse(args.mode))
     result = screen(panel, ThresholdStrategy.parse(args.threshold))
     _info(args, f"screened {len(result.rows)} barriers: {len(result.selected_ids)} selected")
-    report = Report.build(
-        inputs={"ratings": {"path": str(args.ratings), "sha256": file_digest(args.ratings)}},
-        screening=result,
-        timing_ms=(time.perf_counter() - t0) * 1000 if args.timing else None,
-    )
-    _write_out(report.emit(args.emit or "json"), args.output)
-    return EXIT_OK
+    return _emit_report(args, t0, {"ratings": args.ratings}, screening=result)
 
 
 def cmd_rank(args: argparse.Namespace) -> int:
@@ -125,13 +135,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     matrix = read_matrix(args.matrix, args.format, mode)
     result = run_fahp(matrix)
     _info(args, f"ranked {matrix.size} criteria; top is {result.rank_order[0]}")
-    report = Report.build(
-        inputs={"matrix": {"path": str(args.matrix), "sha256": file_digest(args.matrix)}},
-        ranking=result,
-        timing_ms=(time.perf_counter() - t0) * 1000 if args.timing else None,
-    )
-    _write_out(report.emit(args.emit or "json"), args.output)
-    return EXIT_OK
+    return _emit_report(args, t0, {"matrix": args.matrix}, ranking=result)
 
 
 def _load_pipeline_config(path: str) -> dict:
@@ -197,21 +201,10 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
     except ValidationError as exc:
         raise ValidationError(f"[rank] {exc}") from None
 
-    report = Report.build(
-        inputs={
-            "config": {"path": str(args.config), "sha256": file_digest(args.config)},
-            "ratings": {"path": str(cfg["ratings"]["path"]),
-                        "sha256": file_digest(cfg["ratings"]["path"])},
-            "matrix": {"path": str(cfg["matrix"]["path"]),
-                       "sha256": file_digest(cfg["matrix"]["path"])},
-        },
-        screening=screening,
-        ranking=ranking,
-        timing_ms=(time.perf_counter() - t0) * 1000 if args.timing else None,
-    )
-    output = args.output or cfg.get("output")
-    _write_out(report.emit(args.emit or cfg.get("emit", "json")), output)
-    return EXIT_OK
+    inputs = {"config": args.config, "ratings": cfg["ratings"]["path"],
+              "matrix": cfg["matrix"]["path"]}
+    return _emit_report(args, t0, inputs, cfg.get("emit", "json"), cfg.get("output"),
+                        screening=screening, ranking=ranking)
 
 
 def cmd_paper_verify(args: argparse.Namespace) -> int:

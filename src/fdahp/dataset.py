@@ -49,7 +49,6 @@ class ExpectedRanking(NamedTuple):
     total: TriangularFuzzyNumber
     inverse_total: TriangularFuzzyNumber
     weights_normalized: dict[str, float]
-    ranking: dict[str, int]
     rank_order: list[str]
 
 
@@ -67,18 +66,16 @@ class PaperStudy(NamedTuple):
     anomalies: tuple[StudyAnomaly, ...]
 
 
-def _tfn(triple: Sequence[float]) -> TriangularFuzzyNumber:
-    if len(triple) != 3:
-        raise DatasetError(f"expected a 3-element triple, got {triple!r}")
-    return TFN(*triple)
-
-
 def _parse_study(doc: dict) -> PaperStudy:
     d = doc["delphi"]
     barriers = [Barrier(b["id"], b.get("name", "")) for b in d["barriers"]]
     experts = list(d["experts"])
-    rows = {bid: [_tfn(t) for t in triples] for bid, triples in d["ratings"].items()}
-    panel = RatingPanel.from_rows(barriers, experts, rows, ValidationMode.STRICT)
+    grid = {
+        (bid, eid): TFN(*t)
+        for bid, triples in d["ratings"].items()
+        for eid, t in zip(experts, triples, strict=True)
+    }
+    panel = RatingPanel(barriers, experts, grid, ValidationMode.STRICT)
 
     exp = d["expected"]
     delphi_expected = ExpectedScreening(
@@ -91,17 +88,16 @@ def _parse_study(doc: dict) -> PaperStudy:
     criteria = [Barrier(c["id"], c.get("name", "")) for c in f["criteria"]]
     ids = [c.id for c in criteria]
     cells = tuple(
-        tuple(_tfn(f["matrix"][rid][cid]) for cid in ids) for rid in ids
+        tuple(TFN(*f["matrix"][rid][cid]) for cid in ids) for rid in ids
     )
     matrix = PairwiseMatrix(tuple(criteria), cells, ValidationMode(f["mode"]))
 
     fexp = f["expected"]
     fahp_expected = ExpectedRanking(
-        row_geometric_means={k: _tfn(v) for k, v in fexp["row_geometric_means"].items()},
-        total=_tfn(fexp["total"]),
-        inverse_total=_tfn(fexp["inverse_total"]),
+        row_geometric_means={k: TFN(*v) for k, v in fexp["row_geometric_means"].items()},
+        total=TFN(*fexp["total"]),
+        inverse_total=TFN(*fexp["inverse_total"]),
         weights_normalized={k: float(v) for k, v in fexp["weights_normalized"].items()},
-        ranking={k: int(v) for k, v in fexp["ranking"].items()},
         rank_order=list(fexp["rank_order"]),
     )
 
@@ -162,9 +158,9 @@ def renumber_selected(
             f"renumber map must cover the selected set exactly "
             f"(missing: {missing}, extra: {extra})"
         )
-    return [Barrier(mapping[b.id], b.name, b.description) for b in selected]
+    return [b._replace(id=mapping[b.id]) for b in selected]
 
 
-def sequential_renumber_map(selected_ids: Sequence[str], prefix: str = "B") -> dict[str, str]:
-    """Map selected ids, in order, onto `prefix`1..`prefix`k."""
-    return {old: f"{prefix}{k + 1}" for k, old in enumerate(selected_ids)}
+def sequential_renumber_map(selected_ids: Sequence[str]) -> dict[str, str]:
+    """Map selected ids, in order, onto B1..Bk."""
+    return {old: f"B{k + 1}" for k, old in enumerate(selected_ids)}

@@ -27,11 +27,11 @@ class Barrier(NamedTuple):
 
     id: str
     name: str = ""
-    description: str | None = None
 
-    @property
-    def label(self) -> str:
-        return self.name or self.id
+
+def _as_barriers(items: Sequence[Barrier | str]) -> tuple[Barrier, ...]:
+    """Barriers as given, with each bare id string made a `Barrier`."""
+    return tuple(b if isinstance(b, Barrier) else Barrier(str(b)) for b in items)
 
 
 class LinguisticScale(namedtuple("LinguisticScale", "name entries")):
@@ -111,7 +111,7 @@ class RatingPanel:
         ratings: dict[tuple[str, str], TriangularFuzzyNumber],
         mode: ValidationMode = ValidationMode.STRICT,
     ) -> None:
-        self.barriers = tuple(b if isinstance(b, Barrier) else Barrier(str(b)) for b in barriers)
+        self.barriers = _as_barriers(barriers)
         self.experts = tuple(str(e) for e in experts)
         self.ratings = ratings
         self.mode = mode
@@ -159,30 +159,6 @@ class RatingPanel:
     def row(self, barrier_id: str) -> tuple[TriangularFuzzyNumber, ...]:
         """All opinions for one barrier, in expert order."""
         return tuple(self.ratings[(barrier_id, eid)] for eid in self.experts)
-
-    @classmethod
-    def from_rows(
-        cls,
-        barriers: Sequence[Barrier | str],
-        experts: Sequence[str],
-        rows: Mapping[str, Sequence[TriangularFuzzyNumber]],
-        mode: ValidationMode = ValidationMode.STRICT,
-    ) -> "RatingPanel":
-        """Build from one opinion sequence per barrier id, in expert order."""
-        bs = tuple(b if isinstance(b, Barrier) else Barrier(str(b)) for b in barriers)
-        unknown = set(rows) - {b.id for b in bs}
-        if unknown:
-            raise ValidationError(f"rows given for unknown barriers: {sorted(unknown)}")
-        grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
-        for b in bs:
-            opinions = rows.get(b.id)
-            if opinions is None or len(opinions) != len(experts):
-                raise ValidationError(
-                    f"row for {b.id!r} must supply exactly {len(experts)} opinions"
-                )
-            for eid, t in zip(experts, opinions):
-                grid[(b.id, str(eid))] = t
-        return cls(bs, tuple(str(e) for e in experts), grid, mode)
 
 
 class ThresholdStrategy(namedtuple("ThresholdStrategy", "kind value")):
@@ -269,7 +245,11 @@ def score_barriers(aggregates: Mapping[str, TriangularFuzzyNumber]) -> dict[str,
     """Centroid-defuzzify each aggregate into a crisp significance score."""
     if not aggregates:
         raise ValidationError("no aggregates to score")
-    return {bid: centroid_defuzzify(t) for bid, t in aggregates.items()}
+    scores = {bid: centroid_defuzzify(t) for bid, t in aggregates.items()}
+    for bid, t in aggregates.items():
+        if not math.isfinite(scores[bid]):  # finite components can still sum past the float range
+            raise ValidationError(f"score of barrier {bid}: centroid of {t} overflows")
+    return scores
 
 
 def compute_threshold(
@@ -281,7 +261,10 @@ def compute_threshold(
         raise ValidationError("cannot compute a threshold from empty scores")
     if strategy.kind == "fixed":
         return float(strategy.value)  # type: ignore[arg-type]
-    return math.fsum(scores.values()) / len(scores)
+    try:
+        return math.fsum(scores.values()) / len(scores)
+    except OverflowError:
+        raise ValidationError("mean threshold: the sum of the scores overflows") from None
 
 
 def screen(

@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 from typing import Iterable, NamedTuple, Sequence
 
-from .delphi import Barrier
+from .delphi import Barrier, _as_barriers
 from .errors import ValidationError
 from .tfn import (
     TFN,
@@ -26,10 +26,6 @@ from .tfn import (
 # Relative per-component tolerance when checking that cell(j,i) mirrors the
 # reciprocal of cell(i,j); printed matrices commonly carry ~3% rounding drift.
 RECIPROCITY_TOLERANCE = 0.05
-
-
-def _as_barriers(criteria: Sequence[Barrier | str]) -> tuple[Barrier, ...]:
-    return tuple(c if isinstance(c, Barrier) else Barrier(str(c)) for c in criteria)
 
 
 class PairwiseMatrix:
@@ -144,7 +140,8 @@ def build_matrix(
     criteria: Sequence[Barrier | str],
     mode: ValidationMode = ValidationMode.STRICT,
 ) -> PairwiseMatrix:
-    """Assemble a matrix from sparse (row_id, col_id, tfn) entries.
+    """Assemble a matrix from sparse (row_id, col_id, tfn) entries; a plain
+    (l, m, u) triple is made a `TFN`, and one that cannot be raises naming its cell.
 
     The diagonal defaults to (1,1,1); a missing mirror cell is auto-filled
     with the reciprocal of its counterpart. Explicitly supplied cells are
@@ -163,6 +160,11 @@ def build_matrix(
         i, j = index[row_id], index[col_id]
         if grid[i][j] is not None:
             raise ValidationError(f"duplicate entry for cell ({row_id},{col_id})")
+        if not isinstance(t, TFN):
+            try:
+                t = TFN(*t)
+            except ValidationError as exc:
+                raise ValidationError(f"entry ({row_id},{col_id}): {exc}") from None
         grid[i][j] = t
     for i in range(n):
         if grid[i][i] is None:
@@ -178,8 +180,7 @@ def build_matrix(
                 missing.append(f"({ids[i]},{ids[j]})")
                 continue
             fl, fm, fu = f
-            if type(f) is TFN and fl > 0 and fm > 0 and fu > 0 and (
-                    1 / fl + 1 / fm + 1 / fu < math.inf):
+            if fl > 0 and fm > 0 and fu > 0 and 1 / fl + 1 / fm + 1 / fu < math.inf:
                 row[j] = tuple.__new__(TFN, (1.0 / fu, 1.0 / fm, 1.0 / fl))
                 exact[i][j] = 1
                 continue

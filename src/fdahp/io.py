@@ -327,9 +327,9 @@ def write_ratings_csv(panel: RatingPanel, path: str | Path) -> None:
                 w.writerow([bid, eid, repr(t.l), repr(t.m), repr(t.u)])
 
 
-def write_ratings_json(panel: RatingPanel, path: str | Path, scale_name: str = "delphi-10") -> None:
+def write_ratings_json(panel: RatingPanel, path: str | Path) -> None:
     doc = {
-        "scale": scale_name,
+        "scale": "delphi-10",
         "barriers": [{"id": b.id, "name": b.name} for b in panel.barriers],
         "experts": list(panel.experts),
         "ratings": [

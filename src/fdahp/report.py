@@ -77,19 +77,12 @@ def serialize_ranking(r: RankingResult) -> dict[str, Any]:
 def serialize_warnings(
     stage_warnings: list[tuple[str, list[ValidationWarning]]]
 ) -> list[dict[str, str]]:
-    """Flatten per-stage warnings, deduplicated, each appearing exactly once."""
-    seen: set[tuple[str, str, str]] = set()
-    out = []
-    for stage, warnings in stage_warnings:
-        for w in warnings:
-            key = (stage, w.code, w.location)
-            if key in seen:
-                continue
-            seen.add(key)
-            out.append(
-                {"stage": stage, "code": w.code, "location": w.location, "message": w.message}
-            )
-    return out
+    """Flatten per-stage warnings in stage order, one entry per recorded warning."""
+    return [
+        {"stage": stage, "code": w.code, "location": w.location, "message": w.message}
+        for stage, warnings in stage_warnings
+        for w in warnings
+    ]
 
 
 class Report(NamedTuple):

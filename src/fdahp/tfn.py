@@ -39,9 +39,6 @@ class ValidationWarning(NamedTuple):
     location: str
     message: str
 
-    def __str__(self) -> str:
-        return f"[{self.code}] {self.location}: {self.message}"
-
 
 def _component(name: str, v: object) -> float:
     if isinstance(v, bool) or not isinstance(v, (int, float)):

@@ -223,17 +223,17 @@ def test_criterion_8d_expert_permutation_invariance():
         n_e = int(rng.integers(1, 9))
         experts = [f"E{k}" for k in range(n_e)]
         levels = rng.integers(1, 11, (n_b, n_e))
-        rows = {
-            f"B{i}": [DELPHI_10.tfn(int(v)) for v in levels[i]]
-            for i in range(n_b)
+        barriers = [f"B{i}" for i in range(n_b)]
+        grid = {
+            (bid, eid): DELPHI_10.tfn(int(v))
+            for bid, row in zip(barriers, levels)
+            for eid, v in zip(experts, row)
         }
-        panel = RatingPanel.from_rows(list(rows), experts, rows)
+        panel = RatingPanel(barriers, experts, grid)
         perm = list(rng.permutation(n_e))
-        shuffled = RatingPanel.from_rows(
-            list(rows),
-            [experts[j] for j in perm],
-            {bid: [ops[j] for j in perm] for bid, ops in rows.items()},
-        )
+        # the same (barrier, expert) cells, read in a permuted expert order
+        shuffled = RatingPanel(barriers, [experts[j] for j in perm], grid)
+        assert shuffled.row(barriers[0]) == tuple(panel.row(barriers[0])[j] for j in perm)
         a, b = screen(panel), screen(shuffled)
         for ra, rb in zip(a.rows, b.rows):
             all_ok = all_ok and ra.selected == rb.selected and ra.score == rb.score

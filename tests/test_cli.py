@@ -6,6 +6,8 @@ import json
 import pytest
 
 from fdahp.cli import main
+from fdahp.io import read_matrix
+from fdahp.tfn import ValidationMode
 
 STUDY_ORDER = ["B10", "B9", "B7", "B5", "B3", "B2", "B4", "B1", "B8", "B6", "B11"]
 
@@ -120,6 +122,22 @@ class TestScreen:
         )
         assert json.dumps(json.loads(out), indent=2, ensure_ascii=False) + "\n" == out
 
+    @pytest.mark.parametrize(
+        "rows, message",
+        [
+            ("A,E1,1e308,1e308,1e308\nB,E1,1,2,3\n",
+             "score of barrier A: centroid of (1e+308, 1e+308, 1e+308) overflows"),
+            ("".join(f"B{k},E1,5e307,5e307,5e307\n" for k in range(4)),
+             "mean threshold: the sum of the scores overflows"),
+        ],
+        ids=["score", "mean"],
+    )
+    def test_overflow_on_finite_ratings_exits_2(self, capsys, tmp_path, rows, message):
+        f = tmp_path / "huge.csv"
+        f.write_text("barrier_id,expert_id,l,m,u\n" + rows, encoding="utf-8")
+        code, out, err = run(capsys, ["screen", "--ratings", str(f)])
+        assert (code, out, err) == (2, "", f"error: {message}\n")
+
 
 class TestRank:
     def test_study_matrix_lenient(self, capsys, exported):
@@ -144,6 +162,21 @@ class TestRank:
         keys = [(w["stage"], w["code"], w["location"]) for w in warnings]
         assert len(keys) == len(set(keys)) == 3
         assert ("rank", "non_monotone", "(B8,B4)") in keys
+
+    def test_lenient_warnings_sharing_a_printed_location_all_reported(self, capsys, tmp_path):
+        # unordered cells ("A,B",C) and (A,"B,C") both print as (A,B,C)
+        f = tmp_path / "commas.csv"
+        f.write_text(
+            'row_id,col_id,l,m,u\n"A,B",C,3,2,4\n"A,B",A,1,1,1\n"A,B","B,C",1,1,1\n'
+            'C,A,1,1,1\nC,"B,C",1,1,1\nA,"B,C",3,2,4\n',
+            encoding="utf-8",
+        )
+        code, out, _ = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
+        assert code == 0
+        warnings = json.loads(out)["warnings"]
+        matrix = read_matrix(f, mode=ValidationMode.LENIENT)
+        assert len(warnings) == len(matrix.warnings) == 4
+        assert [w["location"] for w in warnings].count("(A,B,C)") == 2
 
     def test_strict_mode_names_offending_cell(self, capsys, exported):
         code, _, err = run(
@@ -273,7 +306,7 @@ class TestPipeline:
         assert decisions == study.delphi_expected.decisions
         assert doc["ranking"]["rank_order"] == STUDY_ORDER
         ranks = {c["id"]: c["rank"] for c in doc["ranking"]["criteria"]}
-        assert ranks == study.fahp_expected.ranking
+        assert ranks == {cid: k + 1 for k, cid in enumerate(study.fahp_expected.rank_order)}
         assert {w["location"] for w in doc["warnings"]} == {
             "(B8,B4)", "(B4,B8)/(B8,B4)", "(B7,B11)/(B11,B7)"
         }
@@ -389,12 +422,11 @@ class TestPaperVerify:
         from fdahp.verify import checks_passed, run_study_checks
 
         panel = study.delphi_panel
-        rows = {bid: list(panel.row(bid)) for bid in panel.barrier_ids}
-        t = rows["B1"][0]
-        rows["B1"][0] = TFN(t.l + 0.5, t.m + 0.5, t.u + 0.5)
-        tampered_panel = RatingPanel.from_rows(
-            list(panel.barriers), list(panel.experts), rows
-        )
+        ratings = dict(panel.ratings)
+        cell = ("B1", panel.experts[0])
+        t = ratings[cell]
+        ratings[cell] = TFN(t.l + 0.5, t.m + 0.5, t.u + 0.5)
+        tampered_panel = RatingPanel(panel.barriers, panel.experts, ratings)
         tampered = PaperStudy(
             key=study.key,
             title=study.title,

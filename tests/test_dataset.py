@@ -1,4 +1,7 @@
 """Bundled study: integrity, structure, renumbering, export round-trips."""
+import hashlib
+import json
+
 import pytest
 
 import fdahp.dataset as dataset_mod
@@ -42,8 +45,14 @@ class TestLoad:
         assert cell(study.fahp_matrix, "B8", "B4") == TFN(0.17, 0.2, 0.17)
 
     def test_expected_top_criterion(self, study):
-        assert study.fahp_expected.ranking["B10"] == 1
+        assert study.fahp_expected.rank_order[0] == "B10"
         assert study.fahp_expected.weights_normalized["B10"] == 0.21185
+
+    def test_printed_rank_table_agrees_with_rank_order(self):
+        # the bundled JSON also prints the ranks as a table, which the loader does not keep
+        expected = json.loads(dataset_mod._load_bytes())["fahp"]["expected"]
+        order = expected["rank_order"]
+        assert expected["ranking"] == {cid: k + 1 for k, cid in enumerate(order)}
 
     def test_renumber_map_is_the_inferred_sequential_one(self, study):
         assert study.renumber_map == EXPECTED_MAP
@@ -66,6 +75,15 @@ class TestLoad:
         assert tampered != raw
         monkeypatch.setattr(dataset_mod, "_load_bytes", lambda: tampered)
         with pytest.raises(DatasetError, match="sha256"):
+            dataset_mod.load_paper_study()
+
+    def test_short_rating_row_is_a_dataset_error(self, monkeypatch):
+        doc = json.loads(dataset_mod._load_bytes())
+        doc["delphi"]["ratings"]["B1"].pop()
+        raw = json.dumps(doc).encode()
+        monkeypatch.setattr(dataset_mod, "_load_bytes", lambda: raw)
+        monkeypatch.setattr(dataset_mod, "_RESOURCE_SHA256", hashlib.sha256(raw).hexdigest())
+        with pytest.raises(DatasetError, match="failed to parse"):
             dataset_mod.load_paper_study()
 
     def test_load_is_reproducible(self, study):
@@ -129,7 +147,7 @@ class TestPipelineReproduction:
 
         result = run_fahp(study.fahp_matrix)
         got = dict(zip(result.ids, result.ranks))
-        assert got == study.fahp_expected.ranking
+        assert got == {cid: k + 1 for k, cid in enumerate(study.fahp_expected.rank_order)}
 
 
 class TestExportRoundTrip:

@@ -37,8 +37,12 @@ ORACLE_THRESHOLD = 7.124381043859346
 
 
 def make_panel(rows, experts=None, mode=ValidationMode.STRICT):
+    """A panel from one opinion list per barrier id, in expert order."""
     experts = experts or [f"E{k + 1}" for k in range(len(next(iter(rows.values()))))]
-    return RatingPanel.from_rows(list(rows), experts, rows, mode)
+    grid = {
+        (bid, eid): t for bid, row in rows.items() for eid, t in zip(experts, row, strict=True)
+    }
+    return RatingPanel(list(rows), experts, grid, mode)
 
 
 class TestScale:
@@ -121,12 +125,6 @@ class TestPanelValidation:
         with pytest.raises(ValidationError, match=r"rating \(A, E1\) = \(3, 2, 4\) is not ordered"):
             make_panel(rows)
 
-    def test_from_rows_rejects_unknown_row_keys(self):
-        with pytest.raises(ValidationError, match="unknown barriers"):
-            RatingPanel.from_rows(
-                ["A"], ["E1"], {"A": [TFN(1, 2, 3)], "Z": [TFN(1, 2, 3)]}
-            )
-
     def test_parse_rejects_non_string(self):
         with pytest.raises(ValidationError):
             ThresholdStrategy.parse(5.0)
@@ -139,9 +137,9 @@ class TestRecords:
         a = Barrier("A", "alpha")
         assert a == Barrier("A", "alpha") and hash(a) == hash(Barrier("A", "alpha"))
         assert a != Barrier("A")
-        assert repr(a) == "Barrier(id='A', name='alpha', description=None)"
-        bid, name, _ = a
-        assert (bid, name, a.label, Barrier("A").label) == ("A", "alpha", "alpha", "A")
+        assert repr(a) == "Barrier(id='A', name='alpha')"
+        bid, name = a
+        assert (bid, name, Barrier("A").name) == ("A", "alpha", "")
         with pytest.raises(AttributeError):
             a.name = "beta"
 
@@ -251,12 +249,9 @@ class TestScreen:
         panel = study.delphi_panel
         rng = np.random.default_rng(37)
         perm = list(rng.permutation(len(panel.experts)))
-        rows = {
-            bid: [panel.row(bid)[j] for j in perm] for bid in panel.barrier_ids
-        }
-        shuffled = RatingPanel.from_rows(
-            list(panel.barriers), [panel.experts[j] for j in perm], rows
-        )
+        shuffled = RatingPanel(panel.barriers, [panel.experts[j] for j in perm], panel.ratings)
+        for bid in panel.barrier_ids:
+            assert shuffled.row(bid) == tuple(panel.row(bid)[j] for j in perm)
         a, b = screen(panel), screen(shuffled)
         for ra, rb in zip(a.rows, b.rows):
             assert ra.score == rb.score
@@ -267,8 +262,7 @@ class TestScreen:
         rng = np.random.default_rng(41)
         perm = list(rng.permutation(len(panel.barriers)))
         barriers = [panel.barriers[i] for i in perm]
-        rows = {b.id: list(panel.row(b.id)) for b in barriers}
-        permuted = RatingPanel.from_rows(barriers, list(panel.experts), rows)
+        permuted = RatingPanel(barriers, panel.experts, panel.ratings)
         a, b = screen(panel), screen(permuted)
         by_id = {r.barrier.id: r for r in a.rows}
         assert [r.barrier.id for r in b.rows] == [panel.barriers[i].id for i in perm]

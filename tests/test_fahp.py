@@ -130,6 +130,16 @@ class TestBuildMatrix:
     def test_unresolved_id(self):
         with pytest.raises(ValidationError, match="'C'"):
             build_matrix([("A", "C", TFN(1, 2, 3))], ["A", "B"])
+        # an entry that is not a valid TFN is rejected where it is stored, naming its cell
+        with pytest.raises(ValidationError) as exc:
+            build_matrix([("A", "B", (1, 2, 10**400))], ["A", "B"])
+        assert str(exc.value) == (
+            "entry (A,B): TFN component u must be finite, got an integer too large for a float"
+        )
+        with pytest.raises(ValidationError) as exc:
+            build_matrix([("A", "B", ("1", "2", "3"))], ["A", "B"])
+        assert str(exc.value) == "entry (A,B): TFN component l must be a real number, got '1'"
+        assert build_matrix([("A", "B", (2, 3, 4))], ["A", "B"]).cells[0][1] == TFN(2, 3, 4)
 
     def test_incomplete_after_autofill(self):
         with pytest.raises(ValidationError, match="incomplete"):

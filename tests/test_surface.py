@@ -1,7 +1,13 @@
-"""The public surface: the pinned `fdahp.__all__`, and every name the benchmark imports."""
+"""The public surface: the pinned `fdahp.__all__`, every name the benchmark imports,
+and one short traced run of the benchmark harness."""
 import ast
 import importlib
+import json
+import subprocess
+import sys
 from pathlib import Path
+
+import pytest
 
 import fdahp
 
@@ -21,7 +27,8 @@ PUBLIC = {
     "FdahpError", "ValidationError", "DatasetError",
 }
 
-BENCH_WORKER = Path(__file__).resolve().parent.parent / "bench" / "worker.py"
+ROOT = Path(__file__).resolve().parent.parent
+BENCH_WORKER = ROOT / "bench" / "worker.py"
 
 
 def test_all_is_the_pinned_surface():
@@ -44,3 +51,21 @@ def test_every_fdahp_name_the_benchmark_imports_resolves():
     assert ("fdahp.verify", "run_study_checks") in imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def test_traced_benchmark_run_is_correct_and_reports_every_layer():
+    # traced only: bench/compare.py skips traced records, so this run never
+    # enters a parent/change comparison
+    pytest.importorskip("numpy")
+    proc = subprocess.run(
+        [sys.executable, "bench/run.py", "--workload", "study-batch", "--seed", "1",
+         "--seconds", "0.3", "--trace", "1"],
+        cwd=ROOT, capture_output=True, text=True, timeout=120,
+    )
+    assert proc.returncode == 0, proc.stderr
+    summary = json.loads(proc.stdout.splitlines()[-1])
+    assert (summary["correct"], summary["failed"]) == (True, 0)
+    spec = json.loads((ROOT / "BENCHMARK.json").read_text(encoding="utf-8"))
+    layers = [m["name"] for m in spec["per_layer"]]
+    assert len(layers) == 37
+    assert set(layers) <= set(summary["metrics"])
