@@ -146,7 +146,9 @@ def _load_pipeline_config(path: str) -> dict:
         src = cfg.get(key)
         if not isinstance(src, dict) or not src.get("path"):
             raise ValidationError(f"{path}: config needs {key}.path")
-        if str(src["path"]).startswith("derive:"):
+        if not isinstance(src["path"], str):
+            raise ValidationError(f"{path}: {key}.path must be a string, got {src['path']!r}")
+        if src["path"].startswith("derive:"):
             raise ValidationError(
                 f"{path}: {key}.path={src['path']!r} is not supported; a comparison "
                 "matrix must be supplied as a file, it is never derived"

@@ -99,9 +99,9 @@ def get_scale(name: str) -> LinguisticScale:
 class RatingPanel:
     """Complete barriers x experts grid of TFN opinions.
 
-    Validation runs at construction: structural problems (missing cells,
-    duplicate ids, negative components) always raise; unordered cells raise in
-    strict mode and are recorded as warnings in lenient mode.
+    Validation runs at construction, which also keeps each barrier's row for `row`:
+    structural problems (missing cells, duplicate ids, negative components) always
+    raise; unordered cells raise in strict mode and are warnings in lenient mode.
     """
 
     def __init__(
@@ -126,7 +126,9 @@ class RatingPanel:
         if len(set(self.experts)) != len(self.experts):
             raise ValidationError("expert ids must be unique")
         experts = self.experts
+        self._rows: dict[str, tuple[TriangularFuzzyNumber, ...]] = {}
         for bid in ids:
+            row = []
             for eid in experts:
                 cell = ratings.get((bid, eid))
                 if not isinstance(cell, TriangularFuzzyNumber):
@@ -136,6 +138,8 @@ class RatingPanel:
                 l, m, u = cell
                 if not 0 <= l <= m <= u:
                     self._check_cell(bid, eid, cell)
+                row.append(cell)
+            self._rows[bid] = tuple(row)
         # every expected cell is present, so any other key makes the dict larger
         if len(ratings) != len(ids) * len(experts):
             extra = set(ratings) - {(b, e) for b in ids for e in experts}
@@ -158,7 +162,7 @@ class RatingPanel:
 
     def row(self, barrier_id: str) -> tuple[TriangularFuzzyNumber, ...]:
         """All opinions for one barrier, in expert order."""
-        return tuple(self.ratings[(barrier_id, eid)] for eid in self.experts)
+        return self._rows[barrier_id]
 
 
 class ThresholdStrategy(namedtuple("ThresholdStrategy", "kind value")):

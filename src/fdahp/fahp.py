@@ -165,6 +165,10 @@ def build_matrix(
                 t = TFN(*t)
             except ValidationError as exc:
                 raise ValidationError(f"entry ({row_id},{col_id}): {exc}") from None
+            except TypeError:  # not iterable, or not three items
+                raise ValidationError(
+                    f"entry ({row_id},{col_id}): expected an (l, m, u) triple, got {t!r}"
+                ) from None
         grid[i][j] = t
     for i in range(n):
         if grid[i][i] is None:

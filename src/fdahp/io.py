@@ -167,26 +167,30 @@ def read_ratings_csv(
     with open(path, newline="", encoding="utf-8-sig") as f:
         rows = _csv_rows(f, path)
         _, header = next(rows)
+        grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
         if header == RATINGS_INT_HEADER:
-            integer_path = True
+            if scale is None:
+                scale = get_scale("delphi-10")
+            parsed: dict[str, TriangularFuzzyNumber] = {}  # raw text -> TFN; errors are never kept
+            for line, (bid, eid, raw) in rows:
+                key = (bid, eid)
+                if key in grid:
+                    raise ValidationError(f"{path} line {line}: duplicate rating for ({bid}, {eid})")
+                t = parsed.get(raw)
+                if t is None:
+                    t = parsed[raw] = _scale_rating(path, line, scale, raw)
+                grid[key] = t
         elif header == RATINGS_TFN_HEADER:
-            integer_path = False
+            for line, (bid, eid, l, m, u) in rows:
+                key = (bid, eid)
+                if key in grid:
+                    raise ValidationError(f"{path} line {line}: duplicate rating for ({bid}, {eid})")
+                grid[key] = _parse_tfn_fields(path, line, l, m, u)
         else:
             raise ValidationError(
                 f"{path} line 1: unexpected ratings header {header or []}; "
                 f"expected {RATINGS_INT_HEADER} or {RATINGS_TFN_HEADER}"
             )
-        if integer_path and scale is None:
-            scale = get_scale("delphi-10")
-        grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
-        for line, (bid, eid, *values) in rows:
-            key = (bid, eid)
-            if key in grid:
-                raise ValidationError(f"{path} line {line}: duplicate rating for ({bid}, {eid})")
-            if integer_path:
-                grid[key] = _scale_rating(path, line, scale, values[0])  # type: ignore[arg-type]
-            else:
-                grid[key] = _parse_tfn_fields(path, line, *values)
     if not grid:
         raise ValidationError(f"{path}: no rating rows")
     # grid keys are in row order, so these keep each id's first-seen position

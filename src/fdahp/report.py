@@ -11,6 +11,8 @@ import csv
 import hashlib
 import io
 import json
+import math
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import Any, NamedTuple, Sequence
 
@@ -85,6 +87,27 @@ def serialize_warnings(
     ]
 
 
+def _json(v: Any, indent: str = "") -> str:
+    """`json.dumps(v, indent=2, ensure_ascii=False)` for `v` nested at `indent`; empty
+    containers, bools, non-finite floats and other rare values go to `json.dumps`."""
+    t = type(v)
+    if t is str:
+        return encode_basestring(v)
+    if t is float and math.isfinite(v) or t is int:
+        return repr(v)
+    if v is None:
+        return "null"
+    inner = indent + "  "
+    sep = ",\n" + inner
+    if t is dict and v and all(type(k) is str for k in v):
+        body = sep.join([f"{encode_basestring(k)}: {_json(x, inner)}" for k, x in v.items()])
+        return f"{{\n{inner}{body}\n{indent}}}"
+    if t is list and v:
+        return f"[\n{inner}{sep.join([_json(x, inner) for x in v])}\n{indent}]"
+    # JSON text holds no raw newline, so re-indenting its lines is exact
+    return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+
+
 class Report(NamedTuple):
     """Plain-data report: what ran, on which inputs, with what outcome."""
 
@@ -118,7 +141,7 @@ class Report(NamedTuple):
         )
 
     def to_json(self) -> str:
-        return json.dumps(self._asdict(), indent=2, ensure_ascii=False) + "\n"
+        return _json(self._asdict()) + "\n"
 
     # ------------------------------------------------------------- csv / md
 

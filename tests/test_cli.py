@@ -378,6 +378,13 @@ class TestPipeline:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {cfg}: ")
 
+    @pytest.mark.parametrize("key, bad", [("ratings", 5), ("matrix", ["m.csv"])])
+    def test_non_string_path_exits_2(self, capsys, tmp_path, exported, key, bad):
+        cfg = self.make_config(tmp_path, exported, **{key: {"path": bad}})
+        code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err.startswith(f"error: {cfg}: {key}.path must be a string, got {bad!r}")
+
     def test_command_line_emit_overrides_config(self, capsys, tmp_path, exported):
         cfg = self.make_config(tmp_path, exported, emit="csv")
         code, out, _ = run(capsys, ["pipeline", "--config", str(cfg), "--emit", "json"])

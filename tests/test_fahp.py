@@ -139,6 +139,10 @@ class TestBuildMatrix:
         with pytest.raises(ValidationError) as exc:
             build_matrix([("A", "B", ("1", "2", "3"))], ["A", "B"])
         assert str(exc.value) == "entry (A,B): TFN component l must be a real number, got '1'"
+        for entry in [(1, 2), 5]:  # the wrong arity, or not iterable at all
+            with pytest.raises(ValidationError) as exc:
+                build_matrix([("A", "B", entry)], ["A", "B"])
+            assert str(exc.value).startswith("entry (A,B): ")
         assert build_matrix([("A", "B", (2, 3, 4))], ["A", "B"]).cells[0][1] == TFN(2, 3, 4)
 
     def test_incomplete_after_autofill(self):

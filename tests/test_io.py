@@ -60,6 +60,25 @@ class TestRatingsCsv:
         with pytest.raises(ValidationError, match="line 2"):
             read_ratings(p)
 
+    def test_bad_rating_texts_are_not_cached(self, tmp_path):
+        # each distinct rating text is parsed once, but a bad one is never remembered
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,E1,7\nA,E2,x\n"
+                  "B,E1,7\nB,E2,x\n")
+        with pytest.raises(ValidationError) as exc:
+            read_ratings(p)
+        assert str(exc.value) == f"{p} line 3: field 'rating' is not an integer: 'x'"
+        # nor kept from one read to the next
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,E1,7\nA,E2,7\nB,E1,x\n")
+        with pytest.raises(ValidationError, match="r.csv line 4: field 'rating'"):
+            read_ratings(p)
+        good = "".join(f"B{k},E1,{k % 10 + 1}\n" for k in range(50))
+        p = write(tmp_path, "r.csv", f"barrier_id,expert_id,rating\n{good}Z,E1,11\nZ,E2,11\n")
+        with pytest.raises(ValidationError) as exc:
+            read_ratings(p)
+        assert str(exc.value) == (
+            f"{p} line 52: rating 11 is not on scale 'delphi-10' (valid: 1..10)"
+        )
+
     def test_non_integer_rating_names_field(self, tmp_path):
         p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,E1,high\n")
         with pytest.raises(ValidationError, match="'rating'"):

@@ -146,7 +146,10 @@ def well_formed_ratings(draw):
     for b in barriers:
         for e in experts:
             if integer_path:
-                values = [str(draw(st.integers(1, 10)))]
+                k = draw(st.integers(1, 10))
+                # any text int() accepts, not only str(k)
+                forms = [str(k), f"0{k}", f" {k}", f"{k} ", f"+{k}"] + ["1_0"] * (k == 10)
+                values = [draw(st.sampled_from(forms))]
             else:
                 triple = draw(st.tuples(COMPONENTS, COMPONENTS, COMPONENTS))
                 values = list(map(repr, sorted(triple)))
@@ -171,3 +174,5 @@ def test_ratings_reader_matches_dictreader_reference(path, table, mode):
     assert got.barrier_ids == [b.id for b in want.barriers]
     assert got.experts == want.experts
     assert list(got.ratings.items()) == list(want.ratings.items())
+    for b in want.barrier_ids:
+        assert got.row(b) == tuple(want.ratings[b, e] for e in want.experts)
