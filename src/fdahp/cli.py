@@ -159,6 +159,8 @@ def _load_pipeline_config(path: str) -> dict:
         raise ValidationError(f"{path}: renumber must be 'sequential' or 'none'")
     if cfg.get("emit", "json") not in ("json", "csv", "md"):
         raise ValidationError(f"{path}: emit must be one of json, csv, md")
+    if cfg.get("output") is not None and not isinstance(cfg["output"], str):
+        raise ValidationError(f"{path}: output must be a string, got {cfg['output']!r}")
     return cfg
 
 

@@ -7,6 +7,7 @@ to unit sum, and rank.
 from __future__ import annotations
 
 import math
+from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .delphi import Barrier, _as_barriers
@@ -51,8 +52,9 @@ class PairwiseMatrix:
             raise ValidationError("criterion ids must be unique")
         n = len(ids)
         self.cells = tuple(
-            tuple(t if isinstance(t, TriangularFuzzyNumber) else TFN(*t) for t in row)
-            for row in cells
+            row if all(map(isinstance, row, repeat(TFN)))
+            else tuple(t if isinstance(t, TFN) else TFN(*t) for t in row)
+            for row in map(tuple, cells)
         )
         if len(self.cells) != n or any(len(row) != n for row in self.cells):
             raise ValidationError(f"matrix must be {n}x{n} to match its criteria")
@@ -176,16 +178,25 @@ def build_matrix(
     # exact[i][j] is set where (i,j) is filled as the exact float reciprocal of (j,i)
     exact = [bytearray(n) for _ in range(n)]
     missing = []
+    # equal positive finite floats have equal bits, so equal forward cells share one mirror
+    mirrors: dict[TFN, TFN] = {}
+    cols = list(zip(*grid)) if any(None in row for row in grid) else ()
     for i, row in enumerate(grid):
+        if None not in row:
+            continue
+        col = cols[i]
         for j in range(n):
             if row[j] is not None:
                 continue
-            if (f := grid[j][i]) is None:
+            if (f := col[j]) is None:
                 missing.append(f"({ids[i]},{ids[j]})")
                 continue
-            fl, fm, fu = f
-            if fl > 0 and fm > 0 and fu > 0 and 1 / fl + 1 / fm + 1 / fu < math.inf:
-                row[j] = tuple.__new__(TFN, (1.0 / fu, 1.0 / fm, 1.0 / fl))
+            if (t := mirrors.get(f)) is None:
+                fl, fm, fu = f
+                if fl > 0 and fm > 0 and fu > 0 and 1 / fl + 1 / fm + 1 / fu < math.inf:
+                    t = mirrors[f] = tuple.__new__(TFN, (1.0 / fu, 1.0 / fm, 1.0 / fl))
+            if t is not None:
+                row[j] = t
                 exact[i][j] = 1
                 continue
             try:
@@ -201,7 +212,16 @@ def build_matrix(
 
 def row_geometric_means(m: PairwiseMatrix) -> list[TriangularFuzzyNumber]:
     """Componentwise geometric mean of each row."""
-    return [TFN(*map(geometric_mean, zip(*row))) for row in m.cells]
+    return [TFN(*map(_column_mean, zip(*row))) for row in m.cells]
+
+
+def _column_mean(col: tuple[float, ...]) -> float:
+    """`geometric_mean` of a tuple of floats, bit for bit, without its copy."""
+    lo = min(col)
+    if lo <= 0:  # zero result or error text; a single factor is clamped back to itself
+        return geometric_mean(col)
+    g = math.exp(math.fsum(map(math.log, col)) / len(col))
+    return min(max(g, lo), max(col))
 
 
 def fuzzy_weights(

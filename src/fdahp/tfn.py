@@ -93,7 +93,7 @@ class TriangularFuzzyNumber(namedtuple("TriangularFuzzyNumber", "l m u")):
         return self.l >= 0 and self.m >= 0 and self.u >= 0
 
     def __str__(self) -> str:
-        return f"({self.l:g}, {self.m:g}, {self.u:g})"
+        return "(%g, %g, %g)" % self
 
 
 TFN = TriangularFuzzyNumber

@@ -385,6 +385,13 @@ class TestPipeline:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {cfg}: {key}.path must be a string, got {bad!r}")
 
+    @pytest.mark.parametrize("bad", [5, ["x.json"]])
+    def test_non_string_output_exits_2(self, capsys, tmp_path, exported, bad):
+        cfg = self.make_config(tmp_path, exported, output=bad)
+        code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: output must be a string, got {bad!r}\n"
+
     def test_command_line_emit_overrides_config(self, capsys, tmp_path, exported):
         cfg = self.make_config(tmp_path, exported, emit="csv")
         code, out, _ = run(capsys, ["pipeline", "--config", str(cfg), "--emit", "json"])

@@ -1,5 +1,6 @@
 """Property tests: validate_cells against a plain reference of its documented rules,
-and build_matrix against a full validation of the matrix it assembles."""
+build_matrix against a full validation of the matrix it assembles, row means
+against `geometric_mean`, and TFN text against `format`."""
 import math
 import sys
 
@@ -12,9 +13,12 @@ from hypothesis import strategies as st  # noqa: E402
 from fdahp import (  # noqa: E402
     TFN,
     Barrier,
+    PairwiseMatrix,
     ValidationError,
     ValidationMode,
     build_matrix,
+    geometric_mean,
+    row_geometric_means,
     tfn_reciprocal,
 )
 from fdahp.fahp import validate_cells  # noqa: E402
@@ -137,6 +141,13 @@ def _entry_triples(component, ints):
 
 FILLABLE_TRIPLES = _entry_triples(_FILLABLE, st.integers(1, 9))
 ANY_TRIPLES = _entry_triples(_ANY, st.integers(-1, 9))
+# The fuzzy Saaty 1..9 triples and their reciprocals, as TFNs and as plain
+# tuples: equal forward cells, which share one auto-filled mirror, are common.
+_SAATY = [(1, 1, 1), (1, 2, 3), (2, 3, 4), (3, 4, 5), (4, 5, 6), (5, 6, 7), (6, 7, 8),
+          (7, 8, 9), (9, 9, 9)]
+SAATY_TRIPLES = st.sampled_from(
+    [f(t) for t in _SAATY for f in (TFN._make, tuple, tfn_reciprocal)]
+)
 
 
 @st.composite
@@ -144,7 +155,7 @@ def sparse_entries(draw):
     """(ids, entries): every pair given as upper only, lower only, or both."""
     n = draw(st.integers(1, 7))
     ids = [f"C{k}" for k in range(n)]
-    triples = ANY_TRIPLES if draw(st.booleans()) else FILLABLE_TRIPLES
+    triples = st.one_of(SAATY_TRIPLES, ANY_TRIPLES if draw(st.booleans()) else FILLABLE_TRIPLES)
     entries = []
     for i in range(n):
         diag = draw(st.one_of(st.none(), st.none(), triples))
@@ -204,6 +215,8 @@ def _outcome(fn, *args):
 @example((["A", "B"], [("B", "A", (sys.float_info.max,) * 3)]))
 @example((["A", "B"], [("B", "A", TFN(1.0, 2.0, sys.float_info.max))]))
 @example((["A", "B"], [("A", "B", TFN(1e-310, 1.0, 2.0))]))
+@example((["A", "B", "C"], [("A", "B", TFN(2.0, 3.0, 4.0)), ("A", "C", TFN(2.0, 3.0, 4.0)),
+                            ("C", "A", TFN(0.2, 0.3, 0.4)), ("B", "C", (2, 3, 4))]))
 def test_build_matrix_matches_full_validation(drawn):
     # build_matrix skips the reciprocity test where it filled a lower mirror
     # itself; the verdicts must be those of checking every pair
@@ -223,3 +236,58 @@ def test_build_matrix_matches_full_validation(drawn):
         assert built.cells == cells
         assert all(type(t) is TFN for row in built.cells for t in row)
         assert built.warnings == expected
+
+
+# Row-mean cells: positives, signed zeros (a zero factor gives 0.0) and
+# negatives (geometric_mean's error); none has a reciprocal that overflows,
+# so lenient construction never raises.
+_ROW_COMPONENTS = st.one_of(
+    st.floats(1e-3, 1e3),
+    st.sampled_from([0.0, -0.0, -1.0, 1e-308, 1.0, 9.0, sys.float_info.max]),
+)
+_ROW_TRIPLES = st.tuples(_ROW_COMPONENTS, _ROW_COMPONENTS, _ROW_COMPONENTS)
+LENIENT_GRIDS = st.integers(1, 6).flatmap(
+    lambda n: st.lists(st.lists(_ROW_TRIPLES, min_size=n, max_size=n), min_size=n, max_size=n)
+)
+
+
+def _bits(rows):
+    return [[x.hex() for x in row] for row in rows]
+
+
+@settings(derandomize=True, max_examples=100, deadline=None)
+@given(LENIENT_GRIDS)
+@example([[(0.1, 0.3, 0.7)]])
+@example([[(-0.0, 0.0, 2.0)]])
+@example([[(1.0, 1.0, 1.0), (0.0, 2.0, 3.0)], [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]])
+@example([[(1.0, 1.0, 1.0), (2.0, -1.0, 3.0)], [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]])
+def test_row_geometric_means_match_geometric_mean(grid):
+    ids = [f"C{k}" for k in range(len(grid))]
+    m = PairwiseMatrix(ids, grid, ValidationMode.LENIENT)
+    expected = _outcome(lambda: [[geometric_mean(list(col)) for col in zip(*row)]
+                                 for row in m.cells])
+    got = _outcome(row_geometric_means, m)
+    if isinstance(expected, str):
+        assert got == expected
+        return
+    assert all(type(t) is TFN for t in got)
+    assert _bits(got) == _bits(expected)
+    for row, means in zip(m.cells, got):
+        for col, mean in zip(zip(*row), means):
+            if len(col) > 1 and min(col) == 0:
+                assert mean.hex() == (0.0).hex()
+
+
+_FINITE = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1e-310, sys.float_info.max,
+                     -sys.float_info.max]),
+)
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_FINITE, _FINITE, _FINITE)
+@example(0.0, -0.0, 5e-324)
+@example(1e-310, sys.float_info.max, -sys.float_info.max)
+def test_tfn_text_is_g_format(l, m, u):
+    assert str(TFN(l, m, u)) == f"({l:g}, {m:g}, {u:g})"
