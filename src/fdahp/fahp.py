@@ -41,7 +41,7 @@ class PairwiseMatrix:
         criteria: Sequence[Barrier | str],
         cells: Sequence[Sequence[TriangularFuzzyNumber]],
         mode: ValidationMode = ValidationMode.STRICT,
-        *, _exact: Sequence[Sequence[int]] = (),
+        *, _pairs: Sequence[Sequence[int]] = (),
     ) -> None:
         self.criteria = _as_barriers(criteria)
         self.mode = mode
@@ -51,14 +51,16 @@ class PairwiseMatrix:
         if len(set(ids)) != len(ids):
             raise ValidationError("criterion ids must be unique")
         n = len(ids)
+        rows = tuple(map(tuple, cells))
+        if len(rows) != n or any(len(row) != n for row in rows):
+            raise ValidationError(f"matrix must be {n}x{n} to match its criteria")
         self.cells = tuple(
             row if all(map(isinstance, row, repeat(TFN)))
-            else tuple(t if isinstance(t, TFN) else TFN(*t) for t in row)
-            for row in map(tuple, cells)
+            else tuple(t if isinstance(t, TFN) else _as_tfn(f"cell ({ids[i]},{ids[j]})", t)
+                       for j, t in enumerate(row))
+            for i, row in enumerate(rows)
         )
-        if len(self.cells) != n or any(len(row) != n for row in self.cells):
-            raise ValidationError(f"matrix must be {n}x{n} to match its criteria")
-        self.warnings = validate_cells(self.criteria, self.cells, mode, _exact=_exact)
+        self.warnings = validate_cells(self.criteria, self.cells, mode, _pairs=_pairs)
 
     @property
     def size(self) -> int:
@@ -69,11 +71,21 @@ class PairwiseMatrix:
         return [c.id for c in self.criteria]
 
 
+def _as_tfn(where: str, t) -> TriangularFuzzyNumber:
+    """`TFN(*t)`; a `t` that cannot be one raises naming `where`."""
+    try:
+        return TFN(*t)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+    except TypeError:  # not iterable, or not three items
+        raise ValidationError(f"{where}: expected an (l, m, u) triple, got {t!r}") from None
+
+
 def validate_cells(
     criteria: Sequence[Barrier],
     cells: Sequence[Sequence[TriangularFuzzyNumber]],
     mode: ValidationMode,
-    *, _exact: Sequence[Sequence[int]] = (),
+    *, _pairs: Sequence[Sequence[int]] = (),
 ) -> list[ValidationWarning]:
     """Check cell ordering, unit diagonal, and reciprocity.
 
@@ -81,7 +93,8 @@ def validate_cells(
     cell, lenient mode returns one warning per violation. Pairs whose forward
     cell has a nonpositive component cannot be reciprocity-checked and are
     reported as such; a forward cell whose reciprocal overflows raises in
-    both modes. A pair i < j whose `_exact[j][i]` is set skips the reciprocity test.
+    both modes. Given `_pairs`, row i tests reciprocity only against the
+    columns j > i that `_pairs[i]` lists.
     """
     ids = [c.id for c in criteria]
     n = len(ids)
@@ -109,8 +122,7 @@ def validate_cells(
                 f"diagonal cell is {cells[i][i]}, expected (1, 1, 1)",
             )
     for i, row in enumerate(cells):
-        js = range(i + 1, n)
-        for j in [j for j in js if not _exact[j][i]] if _exact else js:
+        for j in sorted(_pairs[i]) if _pairs else range(i + 1, n):
             fl, fm, fu = fwd = row[j]
             bl, bm, bu = back = cells[j][i]
             if fl <= 0 or fm <= 0 or fu <= 0 or bl <= 0 or bm <= 0 or bu <= 0:
@@ -152,8 +164,13 @@ def build_matrix(
     crits = _as_barriers(criteria)
     ids = [c.id for c in crits]
     index = {cid: k for k, cid in enumerate(ids)}
+    if len(index) != len(ids):
+        raise ValidationError("criterion ids must be unique")
     n = len(ids)
     grid: list[list[TriangularFuzzyNumber | None]] = [[None] * n for _ in range(n)]
+    # pairs[j] lists each i > j whose lower cell (i,j) is given: every other
+    # mirror is filled as the exact reciprocal, or auto-fill raises
+    pairs: list[list[int]] = [[] for _ in range(n)]
     for row_id, col_id, t in entries:
         if row_id not in index:
             raise ValidationError(f"entry row id {row_id!r} is not a known criterion")
@@ -162,21 +179,12 @@ def build_matrix(
         i, j = index[row_id], index[col_id]
         if grid[i][j] is not None:
             raise ValidationError(f"duplicate entry for cell ({row_id},{col_id})")
-        if not isinstance(t, TFN):
-            try:
-                t = TFN(*t)
-            except ValidationError as exc:
-                raise ValidationError(f"entry ({row_id},{col_id}): {exc}") from None
-            except TypeError:  # not iterable, or not three items
-                raise ValidationError(
-                    f"entry ({row_id},{col_id}): expected an (l, m, u) triple, got {t!r}"
-                ) from None
-        grid[i][j] = t
+        grid[i][j] = t if isinstance(t, TFN) else _as_tfn(f"entry ({row_id},{col_id})", t)
+        if i > j:
+            pairs[j].append(i)
     for i in range(n):
         if grid[i][i] is None:
             grid[i][i] = UNIT_TFN
-    # exact[i][j] is set where (i,j) is filled as the exact float reciprocal of (j,i)
-    exact = [bytearray(n) for _ in range(n)]
     missing = []
     # equal positive finite floats have equal bits, so equal forward cells share one mirror
     mirrors: dict[TFN, TFN] = {}
@@ -197,7 +205,6 @@ def build_matrix(
                     t = mirrors[f] = tuple.__new__(TFN, (1.0 / fu, 1.0 / fm, 1.0 / fl))
             if t is not None:
                 row[j] = t
-                exact[i][j] = 1
                 continue
             try:
                 row[j] = tfn_reciprocal(f)
@@ -207,7 +214,7 @@ def build_matrix(
                 ) from None
     if missing:
         raise ValidationError(f"matrix incomplete after auto-fill; missing cells: {missing}")
-    return PairwiseMatrix(crits, tuple(map(tuple, grid)), mode, _exact=exact)  # type: ignore
+    return PairwiseMatrix(crits, tuple(map(tuple, grid)), mode, _pairs=pairs)  # type: ignore
 
 
 def row_geometric_means(m: PairwiseMatrix) -> list[TriangularFuzzyNumber]:

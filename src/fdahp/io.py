@@ -125,10 +125,7 @@ def _parse_tfn_fields(path: Path, line: int, l: str, m: str, u: str) -> Triangul
     except ValueError:  # ValidationError included
         pass  # name the first bad field, in l, m, u order
     values = [_parse_float(path, line, k, raw) for k, raw in zip("lmu", (l, m, u))]
-    try:
-        return TFN(*values)
-    except ValidationError as exc:
-        raise ValidationError(f"{path} line {line}: {exc}") from None
+    return _located(f"{path} line {line}", TFN, *values)
 
 
 def _scale_rating(path: Path, line: int, scale: LinguisticScale, raw: str) -> TriangularFuzzyNumber:
@@ -151,10 +148,7 @@ def _json_tfn(where: str, triple) -> TriangularFuzzyNumber:
         or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in triple)
     ):
         raise ValidationError(f"{where}: tfn must be a numeric [l, m, u] triple")
-    try:
-        return TFN(*triple)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+    return _located(where, TFN, *triple)
 
 
 def read_ratings_csv(
@@ -238,6 +232,21 @@ def read_ratings_json(
         scale = _located(path, get_scale, doc.get("scale", "delphi-10"))
     grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
     for k, rec in enumerate(entries):
+        # a new pair of str ids with a triple `TFN` takes, or an on-scale int,
+        # is taken as it is; any other record gets the located checks below
+        if type(rec) is dict:
+            b, e = rec.get("barrier_id"), rec.get("expert_id")
+            if type(b) is str and type(e) is str and (key := (b, e)) not in grid:
+                if "tfn" in rec:
+                    if type(t := rec["tfn"]) is list and len(t) == 3:
+                        try:
+                            grid[key] = TFN(*t)
+                            continue
+                        except ValidationError:
+                            pass
+                elif type(r := rec.get("rating")) is int and (t := scale.entries.get(r)):
+                    grid[key] = t
+                    continue
         where = f"{path} ratings[{k}]"
         if not isinstance(rec, dict) or "barrier_id" not in rec or "expert_id" not in rec:
             raise ValidationError(f"{where}: needs barrier_id and expert_id")
@@ -303,6 +312,16 @@ def read_matrix_json(
         mode = _located(path, ValidationMode.parse, doc.get("mode", "strict"))
     entries = []
     for k, rec in enumerate(cells):
+        # str ids with a triple `TFN` takes are taken as they are; any other
+        # record gets the located checks below
+        if type(rec) is dict:
+            r, c, t = rec.get("row"), rec.get("col"), rec.get("tfn")
+            if type(r) is str and type(c) is str and type(t) is list and len(t) == 3:
+                try:
+                    entries.append((r, c, TFN(*t)))
+                    continue
+                except ValidationError:
+                    pass
         where = f"{path} cells[{k}]"
         if not isinstance(rec, dict) or not {"row", "col", "tfn"} <= set(rec):
             raise ValidationError(f"{where}: needs row, col, and tfn")

@@ -109,6 +109,25 @@ class TestValidate:
         with pytest.raises(ValidationError):
             PairwiseMatrix((Barrier("A"), Barrier("B")), ((TFN(1, 1, 1),),))
 
+    @pytest.mark.parametrize("bad, message", [
+        ((1, 2), "cell (B,A): expected an (l, m, u) triple, got (1, 2)"),
+        (5, "cell (B,A): expected an (l, m, u) triple, got 5"),
+        ((1, 2, float("inf")), "cell (B,A): TFN component u must be finite, got inf"),
+        ((True, 2, 3), "cell (B,A): TFN component l must be a real number, got True"),
+    ])
+    def test_bad_cell_is_named(self, bad, message):
+        unit = (1, 1, 1)
+        for mode in ValidationMode:
+            with pytest.raises(ValidationError) as exc:
+                PairwiseMatrix(("A", "B"), ((unit, unit), (bad, unit)), mode)
+            assert str(exc.value) == message
+        # a non-square grid is reported as such, before any cell is coerced
+        with pytest.raises(ValidationError, match="matrix must be 2x2"):
+            PairwiseMatrix(("A", "B"), ((unit, unit, bad), (unit, unit)))
+        plain = PairwiseMatrix(("A", "B"), ((unit, (2, 3, 4)), ((0.25, 1 / 3, 0.5), unit)))
+        assert all(type(t) is TFN for row in plain.cells for t in row)
+        assert plain.cells[0][1] == TFN(2.0, 3.0, 4.0)
+
 
 class TestBuildMatrix:
     def test_reciprocal_fill(self):
@@ -144,6 +163,12 @@ class TestBuildMatrix:
                 build_matrix([("A", "B", entry)], ["A", "B"])
             assert str(exc.value).startswith("entry (A,B): ")
         assert build_matrix([("A", "B", (2, 3, 4))], ["A", "B"]).cells[0][1] == TFN(2, 3, 4)
+
+    def test_repeated_criterion_ids(self):
+        for entries in ([("A", "B", TFN(1, 2, 3))], []):
+            with pytest.raises(ValidationError) as exc:
+                build_matrix(entries, ["A", "B", "A"])
+            assert str(exc.value) == "criterion ids must be unique"
 
     def test_incomplete_after_autofill(self):
         with pytest.raises(ValidationError, match="incomplete"):

@@ -252,6 +252,61 @@ class TestRatingsJson:
         with pytest.raises(ValidationError, match="malformed"):
             read_ratings(p)
 
+    # each record failure, at ratings[1] after a good record; the text is the
+    # same whether the reader takes the good record on its fast path or not
+    @pytest.mark.parametrize("rec, message", [
+        (["A", "E1", 5], "needs barrier_id and expert_id"),
+        ({"barrier_id": "A", "rating": 5}, "needs barrier_id and expert_id"),
+        ({"barrier_id": "A", "expert_id": "E1", "rating": 5},
+         "duplicate rating for ('A', 'E1')"),
+        ({"barrier_id": "A", "expert_id": "E1", "tfn": [1.0, 2.0, 3.0]},
+         "duplicate rating for ('A', 'E1')"),
+        ({"barrier_id": "B", "expert_id": "E1"}, "needs either 'rating' or 'tfn'"),
+        ({"barrier_id": "B", "expert_id": "E1", "rating": True},
+         "rating must be an integer, got True"),
+        ({"barrier_id": "B", "expert_id": "E1", "rating": 5.0},
+         "rating must be an integer, got 5.0"),
+        ({"barrier_id": "B", "expert_id": "E1", "rating": 11},
+         "rating 11 is not on scale 'delphi-10' (valid: 1..10)"),
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": [1.0, 2.0]},
+         "tfn must be a numeric [l, m, u] triple"),
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": [1.0, True, 3.0]},
+         "tfn must be a numeric [l, m, u] triple"),
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": "1,2,3"},
+         "tfn must be a numeric [l, m, u] triple"),
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": [1.0, None, 3.0], "rating": 5},
+         "tfn must be a numeric [l, m, u] triple"),
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": [1.0, 2.0, float("nan")]},
+         "TFN component u must be finite, got nan"),
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": [10 ** 400, 2.0, 3.0]},
+         "TFN component l must be finite, got an integer too large for a float"),
+    ])
+    def test_record_error_text(self, tmp_path, rec, message):
+        doc = {"barriers": ["A", "B"], "experts": ["E1"],
+               "ratings": [{"barrier_id": "A", "expert_id": "E1", "tfn": [1.0, 2.0, 3.0]}, rec]}
+        p = write(tmp_path, "r.json", json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            read_ratings(p)
+        assert str(exc.value) == f"{p} ratings[1]: {message}"
+
+    def test_records_the_fast_path_leaves_alone(self, tmp_path):
+        # int and non-str ids, int components, and a "tfn" that wins over a bad rating
+        doc = {"barriers": ["1", "B", "None"], "experts": ["True"],
+               "ratings": [{"barrier_id": 1, "expert_id": True, "rating": 7},
+                           {"barrier_id": "B", "expert_id": "True", "tfn": [1, 2, 3],
+                            "rating": "x"},
+                           {"barrier_id": None, "expert_id": "True", "tfn": [0.5, 1, 2.5]}]}
+        p = write(tmp_path, "r.json", json.dumps(doc))
+        panel = read_ratings(p)
+        assert panel.ratings == {("1", "True"): TFN(6, 7, 8), ("B", "True"): TFN(1, 2, 3),
+                                 ("None", "True"): TFN(0.5, 1, 2.5)}
+        assert all(type(x) is float for t in panel.ratings.values() for x in t)
+        with pytest.raises(ValidationError) as exc:
+            read_ratings(write(tmp_path, "d.json", json.dumps(
+                {**doc, "ratings": doc["ratings"] + [{"barrier_id": "1", "expert_id": "True",
+                                                      "rating": 2}]})))
+        assert str(exc.value).endswith("ratings[3]: duplicate rating for ('1', 'True')")
+
 
 class TestMatrixFiles:
     def test_csv_with_autofill(self, tmp_path):
@@ -356,6 +411,46 @@ class TestMatrixFiles:
         p = write(tmp_path, "m.json", json.dumps(doc))
         with pytest.raises(ValidationError, match="triple"):
             read_matrix(p)
+
+    # each record failure after a good record: the text follows the file name
+    @pytest.mark.parametrize("rec, message", [
+        ("A,B,1,2,3", " cells[1]: needs row, col, and tfn"),
+        ({"row": "A", "col": "B"}, " cells[1]: needs row, col, and tfn"),
+        ({"row": "A", "col": "B", "tfn": [1.0, 2.0, 3.0, 4.0]},
+         " cells[1]: tfn must be a numeric [l, m, u] triple"),
+        ({"row": "A", "col": "B", "tfn": [False, 2.0, 3.0]},
+         " cells[1]: tfn must be a numeric [l, m, u] triple"),
+        ({"row": "A", "col": "B", "tfn": {"l": 1.0, "m": 2.0, "u": 3.0}},
+         " cells[1]: tfn must be a numeric [l, m, u] triple"),
+        ({"row": "A", "col": "B", "tfn": [1.0, float("inf"), 3.0]},
+         " cells[1]: TFN component m must be finite, got inf"),
+        ({"row": "A", "col": "A", "tfn": [1.0, 1.0, 1.0]}, ": duplicate entry for cell (A,A)"),
+        ({"row": "A", "col": "C", "tfn": [1.0, 1.0, 1.0]},
+         ": entry col id 'C' is not a known criterion"),
+    ])
+    def test_json_record_error_text(self, tmp_path, rec, message):
+        doc = {"criteria": ["A", "B"],
+               "cells": [{"row": "A", "col": "A", "tfn": [1.0, 1.0, 1.0]}, rec]}
+        p = write(tmp_path, "m.json", json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            read_matrix(p)
+        assert str(exc.value) == f"{p}{message}"
+
+    def test_json_records_the_fast_path_leaves_alone(self, tmp_path):
+        doc = {"criteria": ["1", "B"],
+               "cells": [{"row": 1, "col": "B", "tfn": [2, 3, 4]},
+                         {"row": "B", "col": "1", "tfn": [0.25, 1 / 3, 0.5]}]}
+        m = read_matrix(write(tmp_path, "m.json", json.dumps(doc)))
+        assert m.ids == ["1", "B"]
+        assert m.cells[0][1] == TFN(2.0, 3.0, 4.0)
+        assert all(type(x) is float for row in m.cells for t in row for x in t)
+
+    def test_json_repeated_criteria(self, tmp_path):
+        doc = {"criteria": ["A", "A"], "cells": [{"row": "A", "col": "A", "tfn": [1, 1, 1]}]}
+        p = write(tmp_path, "m.json", json.dumps(doc))
+        with pytest.raises(ValidationError) as exc:
+            read_matrix(p)
+        assert str(exc.value) == f"{p}: criterion ids must be unique"
 
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):

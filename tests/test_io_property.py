@@ -1,5 +1,7 @@
-"""Property tests for the CSV readers: round trips, error hygiene, and a reference reader."""
+"""Property tests for the CSV and JSON readers: round trips, error hygiene, and
+reference readers."""
 import csv
+import json
 
 import pytest
 
@@ -9,15 +11,19 @@ from hypothesis import strategies as st  # noqa: E402
 
 from fdahp import TFN, Barrier, RatingPanel, ValidationError, ValidationMode  # noqa: E402
 from fdahp.delphi import DELPHI_10  # noqa: E402
-from fdahp.fahp import PairwiseMatrix  # noqa: E402
+from fdahp.fahp import PairwiseMatrix, build_matrix  # noqa: E402
 from fdahp.io import (  # noqa: E402
     MATRIX_HEADER,
     RATINGS_INT_HEADER,
     RATINGS_TFN_HEADER,
     read_matrix_csv,
+    read_matrix_json,
     read_ratings_csv,
+    read_ratings_json,
     write_matrix_csv,
+    write_matrix_json,
     write_ratings_csv,
+    write_ratings_json,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -74,6 +80,27 @@ def test_matrix_round_trip(path, matrix):
     assert back.cells == matrix.cells
     assert back.warnings == matrix.warnings
 
+
+@SETTINGS
+@given(panels())
+def test_ratings_json_round_trip(path, panel):
+    write_ratings_json(panel, path)
+    back = read_ratings_json(path, mode=ValidationMode.LENIENT)
+    assert back.barriers == panel.barriers
+    assert back.experts == panel.experts
+    assert list(back.ratings.items()) == list(panel.ratings.items())
+    assert back.warnings == panel.warnings
+
+
+@SETTINGS
+@given(matrices())
+def test_matrix_json_round_trip(path, matrix):
+    write_matrix_json(matrix, path)
+    back = read_matrix_json(path)  # the file's own mode, lenient
+    assert back.mode is ValidationMode.LENIENT
+    assert back.criteria == matrix.criteria
+    assert back.cells == matrix.cells
+    assert back.warnings == matrix.warnings
 
 # Fields that reach every branch of the readers: valid ratings and numbers,
 # empties, non-numbers, non-finite and overflowing values, huge integers.
@@ -176,3 +203,239 @@ def test_ratings_reader_matches_dictreader_reference(path, table, mode):
     assert list(got.ratings.items()) == list(want.ratings.items())
     for b in want.barrier_ids:
         assert got.row(b) == tuple(want.ratings[b, e] for e in want.experts)
+
+
+# JSON record values: every type json.load makes, with numbers that reach each
+# branch of TFN and of the scale lookup (bools, ints, ints too large for a
+# float, NaN, infinities, floats equal to an on-scale rating).
+SCALARS = st.one_of(
+    st.floats(0.1, 9.0),
+    st.sampled_from([0.0, -0.0, -1.0, 1e-310, 5.0, float("nan"), float("inf"), -float("inf")]),
+    st.integers(-1, 11),
+    st.sampled_from([10 ** 400, True, False, None, "", "5", "x"]),
+)
+JSON_VALUES = st.one_of(SCALARS, st.lists(SCALARS, max_size=4),
+                        st.dictionaries(st.sampled_from(["l", "id"]), SCALARS, max_size=2))
+TRIPLE_VALUES = st.one_of(st.lists(SCALARS, min_size=3, max_size=3), JSON_VALUES)
+# str ids, and values whose str() is one of them or is not a known id
+JSON_IDS = st.sampled_from(["A", "B", "1", "True", 1, True, None, 1.0, ["A"]])
+
+
+@st.composite
+def bad_records(draw, id_keys, value_keys):
+    """A record that is not a dict, or a dict holding each id key (3 times in
+    4) and each value key (1 time in 2) with an arbitrary value."""
+    if draw(st.integers(0, 5)) == 0:
+        return draw(JSON_VALUES)
+    rec = {}
+    for key in id_keys + value_keys:
+        if draw(st.integers(0, 3)) > (key in value_keys):
+            rec[key] = draw(JSON_IDS if key in id_keys else TRIPLE_VALUES)
+    return rec
+
+
+def _edited(draw, records, id_keys, near_misses, bad, values):
+    """`records` shuffled, then one of: left as they are; one record's ids
+    kept with fields from `near_misses`; or one or two edits, each a record
+    replaced by a `bad` one, a `bad` record inserted, or a record's ids kept
+    with fields from `values`, in its place or inserted elsewhere as a
+    duplicate key."""
+    records = draw(st.permutations(records))
+
+    def refill(k, fields):
+        return {**{key: records[k][key] for key in id_keys if key in records[k]}, **draw(fields)}
+
+    kind = draw(st.sampled_from(["clean", "near miss", "edits"]))
+    if kind == "near miss":
+        k = draw(st.integers(0, len(records) - 1))
+        records[k] = refill(k, near_misses)
+    for _ in range(draw(st.integers(1, 2)) if kind == "edits" else 0):
+        k = draw(st.integers(0, len(records) - 1))
+        edit = draw(st.sampled_from(["refill", "duplicate", "replace", "insert"]))
+        if edit == "replace":
+            records[k] = draw(bad)
+        elif edit == "insert":
+            records.insert(k, draw(bad))
+        elif isinstance(records[k], dict):
+            rec = refill(k, values)
+            if edit == "refill":
+                records[k] = rec
+            else:
+                records.insert(draw(st.integers(0, len(records))), rec)
+    return records
+
+
+# ordered triples of floats or of ints
+ORDERED = st.one_of(st.lists(st.floats(0.1, 9.0), min_size=3, max_size=3),
+                    st.lists(st.integers(1, 9), min_size=3, max_size=3)).map(sorted)
+# values one type test away from a valid component or rating: bools, ints too
+# large for a float, NaN, text, null; floats equal to an on-scale rating
+COMPONENT_MISSES = st.sampled_from([True, False, float("nan"), 10 ** 400, "5", None])
+RATING_MISSES = st.sampled_from([True, 5.0, 7.0, "5", None, 11])
+# an ordered triple with one component replaced
+SPOILED = st.tuples(ORDERED, st.integers(0, 2), COMPONENT_MISSES).map(
+    lambda a: [*a[0][:a[1]], a[2], *a[0][a[1] + 1:]]
+)
+# valid "tfn" or "rating" fields; a "tfn" wins over a bad "rating"
+RATING_VALUES = st.one_of(
+    st.fixed_dictionaries({"tfn": ORDERED}),
+    st.fixed_dictionaries({"rating": st.integers(1, 10)}),
+    st.fixed_dictionaries({"tfn": ORDERED, "rating": SCALARS}),
+)
+
+
+@st.composite
+def ratings_docs(draw):
+    """A complete ratings document of float triples and integer ratings, edited."""
+    barriers, experts = ["A", "B", "1"], ["A", "True"]
+    records = [{"barrier_id": b, "expert_id": e, **draw(RATING_VALUES)}
+               for b in barriers for e in experts]
+    near_misses = st.one_of(st.fixed_dictionaries({"tfn": SPOILED}),
+                            st.fixed_dictionaries({"rating": RATING_MISSES}))
+    bad = st.one_of(bad_records(["barrier_id", "expert_id"], ["tfn", "rating"]),
+                    bad_records(["barrier_id", "expert_id"], ["rating"]))
+    values = RATING_VALUES | st.fixed_dictionaries(
+        {}, optional={"tfn": TRIPLE_VALUES, "rating": SCALARS})
+    ratings = _edited(draw, records, ["barrier_id", "expert_id"], near_misses, bad, values)
+    return {"barriers": barriers, "experts": experts, "ratings": ratings}
+
+
+@st.composite
+def matrix_docs(draw):
+    """Upper triangles of ordered triples; unit, absent or other diagonal cells;
+    exact, absent or free lower cells; then edited."""
+    criteria = ["A", "B", "1"]
+    cells = {}
+    for i, r in enumerate(criteria):
+        for j, c in enumerate(criteria[i:], i):
+            if i == j:
+                tfn = draw(st.sampled_from([None, [1.0, 1.0, 1.0], [1, 1, 1], [1.0, 2.0, 3.0]]))
+            else:
+                tfn = draw(ORDERED)
+                lower = draw(st.sampled_from(["exact", "absent", "free"]))
+                if lower != "absent":
+                    cells[c, r] = [1 / x for x in tfn[::-1]] if lower == "exact" else draw(ORDERED)
+            if tfn is not None:
+                cells[r, c] = tfn
+    records = [{"row": r, "col": c, "tfn": t} for (r, c), t in cells.items()]
+    cells = _edited(draw, records, ["row", "col"], st.fixed_dictionaries({"tfn": SPOILED}),
+                    bad_records(["row", "col"], ["tfn"]),
+                    st.fixed_dictionaries({"tfn": ORDERED | TRIPLE_VALUES}))
+    return {"criteria": criteria, "mode": "lenient", "cells": cells}
+
+
+def _tfn(where, t):
+    if not (type(t) is list and len(t) == 3 and all(type(x) in (int, float) for x in t)):
+        raise ValidationError(f"{where}: tfn must be a numeric [l, m, u] triple")
+    try:
+        return TFN(*t)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None
+
+
+def _prefixed(path, build, *args):
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{path}: {exc}") from None
+
+
+def reference_ratings_json(path, mode):
+    """The ratings record loop with every check on every record, for
+    documents whose id lists are well formed and whose scale is the default."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    grid = {}
+    for k, rec in enumerate(doc["ratings"]):
+        where = f"{path} ratings[{k}]"
+        if not isinstance(rec, dict) or "barrier_id" not in rec or "expert_id" not in rec:
+            raise ValidationError(f"{where}: needs barrier_id and expert_id")
+        key = (str(rec["barrier_id"]), str(rec["expert_id"]))
+        if key in grid:
+            raise ValidationError(f"{where}: duplicate rating for {key}")
+        if "tfn" in rec:
+            grid[key] = _tfn(where, rec["tfn"])
+        elif "rating" in rec:
+            if type(rec["rating"]) is not int:
+                raise ValidationError(f"{where}: rating must be an integer, got {rec['rating']!r}")
+            grid[key] = _prefixed(where, DELPHI_10.tfn, rec["rating"])
+        else:
+            raise ValidationError(f"{where}: needs either 'rating' or 'tfn'")
+    barriers = tuple(map(Barrier, doc["barriers"]))
+    return _prefixed(path, RatingPanel, barriers, tuple(doc["experts"]), grid, mode)
+
+
+def reference_matrix_json(path, mode):
+    """The matrix record loop with every check on every record."""
+    doc = json.loads(path.read_text(encoding="utf-8"))
+    entries = []
+    for k, rec in enumerate(doc["cells"]):
+        where = f"{path} cells[{k}]"
+        if not isinstance(rec, dict) or not {"row", "col", "tfn"} <= set(rec):
+            raise ValidationError(f"{where}: needs row, col, and tfn")
+        entries.append((str(rec["row"]), str(rec["col"]), _tfn(where, rec["tfn"])))
+    return _prefixed(path, build_matrix, entries, doc["criteria"], mode)
+
+
+def _read(reader, path, mode):
+    """What `reader` makes of `path`, as text: the value, or the error."""
+    try:
+        got = reader(path, mode=mode)
+    except ValidationError as exc:
+        return f"error: {exc}"
+    if isinstance(got, RatingPanel):
+        return repr((got.barrier_ids, got.experts, list(got.ratings.items()), got.warnings))
+    return repr((got.ids, got.cells, got.warnings))
+
+
+@settings(SETTINGS, max_examples=200)
+@given(ratings_docs(), st.sampled_from(ValidationMode))
+def test_ratings_json_reader_matches_reference(path, doc, mode):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _read(read_ratings_json, path, mode) == _read(reference_ratings_json, path, mode)
+
+
+@settings(SETTINGS, max_examples=200)
+@given(matrix_docs(), st.sampled_from(ValidationMode))
+def test_matrix_json_reader_matches_reference(path, doc, mode):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    assert _read(read_matrix_json, path, mode) == _read(reference_matrix_json, path, mode)
+
+
+JSON_TREES = st.recursive(
+    SCALARS,
+    lambda inner: st.lists(inner, max_size=3)
+    | st.dictionaries(st.sampled_from(["barriers", "experts", "ratings", "criteria", "cells",
+                                       "scale", "mode", "id", "tfn", "rating"]), inner, max_size=4),
+    max_leaves=12,
+)
+
+
+@st.composite
+def json_docs(draw):
+    """Any JSON value, or a ratings or matrix document with a top-level field
+    dropped or replaced."""
+    if draw(st.booleans()):
+        return draw(JSON_TREES)
+    doc = draw(st.one_of(ratings_docs(), matrix_docs()))
+    if draw(st.booleans()):
+        key = draw(st.sampled_from(["barriers", "experts", "ratings", "criteria", "cells",
+                                    "scale", "mode"]))
+        doc[key] = draw(st.one_of(JSON_TREES, st.sampled_from(["delphi-10", "lenient", "x"])))
+    if draw(st.booleans()) and doc:
+        del doc[draw(st.sampled_from(sorted(doc)))]
+    return doc
+
+
+@SETTINGS
+@given(json_docs(), st.sampled_from(ValidationMode))
+def test_json_readers_raise_only_validation_errors(path, doc, mode):
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    try:
+        assert isinstance(read_ratings_json(path, mode=mode), RatingPanel)
+    except ValidationError:
+        pass
+    for matrix_mode in (mode, None):
+        try:
+            assert isinstance(read_matrix_json(path, matrix_mode), PairwiseMatrix)
+        except ValidationError:
+            pass
