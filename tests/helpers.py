@@ -1,5 +1,10 @@
-"""Shared test helpers: random-input generators for property checks, and cell lookup by id."""
+"""Shared test helpers: random-input generators for property checks, cell lookup by
+id, and an in-process CLI runner."""
+from contextlib import redirect_stderr, redirect_stdout
+from io import StringIO
+
 from fdahp import TFN, build_matrix, tfn_reciprocal
+from fdahp.cli import main
 from fdahp.tfn import ValidationMode
 
 # Fuzzy 1..9 importance scale for drawing pairwise comparisons.
@@ -39,3 +44,11 @@ def random_reciprocal_matrix(rng, n, mode=ValidationMode.STRICT, continuous=Fals
 def cell(m, row_id, col_id):
     """The cell of matrix `m` at (row_id, col_id), looked up by criterion id."""
     return m.cells[m.ids.index(row_id)][m.ids.index(col_id)]
+
+
+def run_cli(argv):
+    """`fdahp argv` run in process: (exit code, stdout, stderr)."""
+    out, err = StringIO(), StringIO()
+    with redirect_stdout(out), redirect_stderr(err):
+        code = main(list(argv))
+    return code, out.getvalue(), err.getvalue()
