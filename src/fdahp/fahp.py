@@ -18,8 +18,8 @@ from .tfn import (
     TriangularFuzzyNumber,
     ValidationMode,
     ValidationWarning,
+    _geometric_mean,
     centroid_defuzzify,
-    geometric_mean,
     tfn_multiply,
     tfn_reciprocal,
 )
@@ -51,7 +51,10 @@ class PairwiseMatrix:
         if len(set(ids)) != len(ids):
             raise ValidationError("criterion ids must be unique")
         n = len(ids)
-        rows = tuple(map(tuple, cells))
+        try:
+            rows = tuple(map(tuple, cells))
+        except TypeError:  # the grid, or one of its rows, is not iterable
+            rows = ()
         if len(rows) != n or any(len(row) != n for row in rows):
             raise ValidationError(f"matrix must be {n}x{n} to match its criteria")
         self.cells = tuple(
@@ -219,16 +222,7 @@ def build_matrix(
 
 def row_geometric_means(m: PairwiseMatrix) -> list[TriangularFuzzyNumber]:
     """Componentwise geometric mean of each row."""
-    return [TFN(*map(_column_mean, zip(*row))) for row in m.cells]
-
-
-def _column_mean(col: tuple[float, ...]) -> float:
-    """`geometric_mean` of a tuple of floats, bit for bit, without its copy."""
-    lo = min(col)
-    if lo <= 0:  # zero result or error text; a single factor is clamped back to itself
-        return geometric_mean(col)
-    g = math.exp(math.fsum(map(math.log, col)) / len(col))
-    return min(max(g, lo), max(col))
+    return [TFN(*map(_geometric_mean, zip(*row))) for row in m.cells]
 
 
 def fuzzy_weights(

@@ -141,14 +141,14 @@ def _scale_rating(path: Path, line: int, scale: LinguisticScale, raw: str) -> Tr
         raise ValidationError(f"{path} line {line}: {exc}") from None
 
 
-def _json_tfn(where: str, triple) -> TriangularFuzzyNumber:
-    if (
-        not isinstance(triple, list)
-        or len(triple) != 3
-        or not all(isinstance(x, (int, float)) and not isinstance(x, bool) for x in triple)
-    ):
-        raise ValidationError(f"{where}: tfn must be a numeric [l, m, u] triple")
-    return _located(where, TFN, *triple)
+def _json_tfn(t) -> TriangularFuzzyNumber:
+    """`TFN(*t)` for a JSON [l, m, u] array; errors carry no location."""
+    try:
+        return TFN(*t)
+    except (TypeError, ValidationError):  # TypeError: not iterable, or not three items
+        if type(t) is list and len(t) == 3 and all(type(x) in (int, float) for x in t):
+            raise  # a number TFN rejects: NaN, an infinity, an int too large
+        raise ValidationError("tfn must be a numeric [l, m, u] triple") from None
 
 
 def read_ratings_csv(
@@ -232,36 +232,23 @@ def read_ratings_json(
         scale = _located(path, get_scale, doc.get("scale", "delphi-10"))
     grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
     for k, rec in enumerate(entries):
-        # a new pair of str ids with a triple `TFN` takes, or an on-scale int,
-        # is taken as it is; any other record gets the located checks below
-        if type(rec) is dict:
-            b, e = rec.get("barrier_id"), rec.get("expert_id")
-            if type(b) is str and type(e) is str and (key := (b, e)) not in grid:
-                if "tfn" in rec:
-                    if type(t := rec["tfn"]) is list and len(t) == 3:
-                        try:
-                            grid[key] = TFN(*t)
-                            continue
-                        except ValidationError:
-                            pass
-                elif type(r := rec.get("rating")) is int and (t := scale.entries.get(r)):
-                    grid[key] = t
-                    continue
-        where = f"{path} ratings[{k}]"
-        if not isinstance(rec, dict) or "barrier_id" not in rec or "expert_id" not in rec:
-            raise ValidationError(f"{where}: needs barrier_id and expert_id")
-        key = (str(rec["barrier_id"]), str(rec["expert_id"]))
-        if key in grid:
-            raise ValidationError(f"{where}: duplicate rating for {key}")
-        if "tfn" in rec:
-            grid[key] = _json_tfn(where, rec["tfn"])
-        elif "rating" in rec:
-            rating = rec["rating"]
-            if isinstance(rating, bool) or not isinstance(rating, int):
-                raise ValidationError(f"{where}: rating must be an integer, got {rating!r}")
-            grid[key] = _located(where, scale.tfn, rating)
-        else:
-            raise ValidationError(f"{where}: needs either 'rating' or 'tfn'")
+        try:
+            key = (str(rec["barrier_id"]), str(rec["expert_id"]))
+        except (KeyError, TypeError):  # a missing id, or a record that is not an object
+            raise ValidationError(f"{path} ratings[{k}]: needs barrier_id and expert_id") from None
+        try:
+            if key in grid:
+                raise ValidationError(f"duplicate rating for {key}")
+            if "tfn" in rec:
+                grid[key] = _json_tfn(rec["tfn"])
+            elif "rating" in rec:
+                if type(rating := rec["rating"]) is not int:
+                    raise ValidationError(f"rating must be an integer, got {rating!r}")
+                grid[key] = scale.tfn(rating)
+            else:
+                raise ValidationError("needs either 'rating' or 'tfn'")
+        except ValidationError as exc:
+            raise ValidationError(f"{path} ratings[{k}]: {exc}") from None
     return _located(path, RatingPanel, tuple(barriers), tuple(experts), grid, mode)
 
 
@@ -312,20 +299,14 @@ def read_matrix_json(
         mode = _located(path, ValidationMode.parse, doc.get("mode", "strict"))
     entries = []
     for k, rec in enumerate(cells):
-        # str ids with a triple `TFN` takes are taken as they are; any other
-        # record gets the located checks below
-        if type(rec) is dict:
-            r, c, t = rec.get("row"), rec.get("col"), rec.get("tfn")
-            if type(r) is str and type(c) is str and type(t) is list and len(t) == 3:
-                try:
-                    entries.append((r, c, TFN(*t)))
-                    continue
-                except ValidationError:
-                    pass
-        where = f"{path} cells[{k}]"
-        if not isinstance(rec, dict) or not {"row", "col", "tfn"} <= set(rec):
-            raise ValidationError(f"{where}: needs row, col, and tfn")
-        entries.append((str(rec["row"]), str(rec["col"]), _json_tfn(where, rec["tfn"])))
+        try:
+            row, col, triple = rec["row"], rec["col"], rec["tfn"]
+        except (KeyError, TypeError):  # a missing field, or a record that is not an object
+            raise ValidationError(f"{path} cells[{k}]: needs row, col, and tfn") from None
+        try:
+            entries.append((str(row), str(col), _json_tfn(triple)))
+        except ValidationError as exc:
+            raise ValidationError(f"{path} cells[{k}]: {exc}") from None
     return _located(path, build_matrix, entries, criteria, mode)
 
 

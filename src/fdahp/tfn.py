@@ -126,19 +126,22 @@ def geometric_mean(values: Sequence[float]) -> float:
     independent of input order bit-for-bit. The result is clamped to
     [min(values), max(values)] to absorb exp/log rounding at the boundary.
     """
-    vals = list(map(float, values))
+    vals = tuple(map(float, values))
     if not vals:
         raise ValidationError("geometric mean of an empty sequence")
-    lo, hi = min(vals), max(vals)
-    if lo < 0:
-        first = next(v for v in vals if v < 0)
-        raise ValidationError(f"geometric mean requires nonnegative values, got {first}")
-    if len(vals) == 1:
-        return vals[0]
-    if lo == 0.0:
-        return 0.0
+    return _geometric_mean(vals)
+
+
+def _geometric_mean(vals: tuple[float, ...]) -> float:
+    """`geometric_mean` of a non-empty tuple of floats, which it neither copies nor checks."""
+    lo = min(vals)
+    if lo <= 0:
+        if lo < 0:
+            first = next(v for v in vals if v < 0)
+            raise ValidationError(f"geometric mean requires nonnegative values, got {first}")
+        return vals[0] if len(vals) == 1 else 0.0  # a single factor is itself, -0.0 included
     g = math.exp(math.fsum(map(math.log, vals)) / len(vals))
-    return min(max(g, lo), hi)
+    return min(max(g, lo), max(vals))
 
 
 def aggregate_min_geo_max(opinions: Iterable[TFN]) -> TFN:

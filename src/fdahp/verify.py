@@ -29,10 +29,6 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _fmt_tfn(t: TriangularFuzzyNumber) -> str:
-    return f"({_fmt(t.l)}, {_fmt(t.m)}, {_fmt(t.u)})"
-
-
 def _num_check(name: str, expected: float, computed: float, tol: float) -> CheckResult:
     return CheckResult(name, _fmt(expected), _fmt(computed), _fmt(tol),
                        abs(computed - expected) <= tol)
@@ -42,7 +38,7 @@ def _tfn_check(
     name: str, expected: TriangularFuzzyNumber, computed: TriangularFuzzyNumber, tol: float
 ) -> CheckResult:
     dev = max(abs(a - b) for a, b in zip(computed, expected))
-    return CheckResult(name, _fmt_tfn(expected), _fmt_tfn(computed), _fmt(tol), dev <= tol)
+    return CheckResult(name, str(expected), str(computed), _fmt(tol), dev <= tol)
 
 
 def run_study_checks(study: PaperStudy) -> list[CheckResult]:

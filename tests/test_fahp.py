@@ -109,6 +109,12 @@ class TestValidate:
         with pytest.raises(ValidationError):
             PairwiseMatrix((Barrier("A"), Barrier("B")), ((TFN(1, 1, 1),),))
 
+    @pytest.mark.parametrize("cells", [[5], 5, [[(1, 1, 1)], 7]])
+    def test_grid_that_is_not_iterable(self, cells):
+        with pytest.raises(ValidationError) as exc:
+            PairwiseMatrix(["A"], cells)
+        assert str(exc.value) == "matrix must be 1x1 to match its criteria"
+
     @pytest.mark.parametrize("bad, message", [
         ((1, 2), "cell (B,A): expected an (l, m, u) triple, got (1, 2)"),
         (5, "cell (B,A): expected an (l, m, u) triple, got 5"),

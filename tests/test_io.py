@@ -252,8 +252,7 @@ class TestRatingsJson:
         with pytest.raises(ValidationError, match="malformed"):
             read_ratings(p)
 
-    # each record failure, at ratings[1] after a good record; the text is the
-    # same whether the reader takes the good record on its fast path or not
+    # each record failure, at ratings[1] after a good record
     @pytest.mark.parametrize("rec, message", [
         (["A", "E1", 5], "needs barrier_id and expert_id"),
         ({"barrier_id": "A", "rating": 5}, "needs barrier_id and expert_id"),

@@ -269,9 +269,10 @@ def _edited(draw, records, id_keys, near_misses, bad, values):
 ORDERED = st.one_of(st.lists(st.floats(0.1, 9.0), min_size=3, max_size=3),
                     st.lists(st.integers(1, 9), min_size=3, max_size=3)).map(sorted)
 # values one type test away from a valid component or rating: bools, ints too
-# large for a float, NaN, text, null; floats equal to an on-scale rating
+# large for a float, NaN, text, null; floats equal to an on-scale rating;
+# unhashable values, which a scale lookup before the type test would trip on
 COMPONENT_MISSES = st.sampled_from([True, False, float("nan"), 10 ** 400, "5", None])
-RATING_MISSES = st.sampled_from([True, 5.0, 7.0, "5", None, 11])
+RATING_MISSES = st.sampled_from([True, 5.0, 7.0, "5", None, 11, [5], {}])
 # an ordered triple with one component replaced
 SPOILED = st.tuples(ORDERED, st.integers(0, 2), COMPONENT_MISSES).map(
     lambda a: [*a[0][:a[1]], a[2], *a[0][a[1] + 1:]]

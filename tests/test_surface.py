@@ -1,5 +1,6 @@
 """The public surface: the pinned `fdahp.__all__`, every name the benchmark imports,
-and one short traced run of the benchmark harness."""
+no definition that only a test names, and one short traced run of the benchmark
+harness."""
 import ast
 import importlib
 import json
@@ -28,6 +29,7 @@ PUBLIC = {
 }
 
 ROOT = Path(__file__).resolve().parent.parent
+PACKAGE = ROOT / "src" / "fdahp"
 BENCH_WORKER = ROOT / "bench" / "worker.py"
 
 
@@ -51,6 +53,44 @@ def test_every_fdahp_name_the_benchmark_imports_resolves():
     assert ("fdahp.verify", "run_study_checks") in imported
     for module, name in imported:
         assert hasattr(importlib.import_module(module), name), f"{module}.{name}"
+
+
+def _definitions(tree):
+    """The name of each top-level function and class and of each method."""
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+            yield node.name
+        if isinstance(node, ast.ClassDef):
+            namedtuple_base = any(
+                isinstance(b, ast.Call) and getattr(b.func, "id", "") == "namedtuple"
+                for b in node.bases
+            )
+            for sub in node.body:
+                if not isinstance(sub, ast.FunctionDef):
+                    continue
+                if sub.name.startswith("__") and sub.name.endswith("__"):
+                    continue  # called by the language, not by name
+                if namedtuple_base and sub.name == "_make":
+                    continue  # reached through namedtuple's own `_replace`
+                yield f"{node.name}.{sub.name}"
+
+
+def test_every_definition_is_named_outside_the_tests():
+    # a name in src/ (re-exports in __init__.py aside) or bench/ counts; a test does not
+    named = set()
+    for path in [*PACKAGE.glob("*.py"), *(ROOT / "bench").glob("*.py")]:
+        if path == PACKAGE / "__init__.py":
+            continue
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.Name):
+                named.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                named.add(node.attr)
+    defined = [f"{path.stem}.{name}"
+               for path in sorted(PACKAGE.glob("*.py"))
+               for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))]
+    assert len(defined) > 100
+    assert [d for d in defined if d.rsplit(".", 1)[1] not in named] == []
 
 
 def test_traced_benchmark_run_is_correct_and_reports_every_layer():
