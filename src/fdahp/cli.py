@@ -139,9 +139,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 
 def _load_pipeline_config(path: str) -> dict:
-    cfg = load_json(path)
-    if not isinstance(cfg, dict):
-        raise ValidationError(f"{path}: config must be a JSON object")
+    cfg = load_json(path, "config")
     for key in ("ratings", "matrix"):
         src = cfg.get(key)
         if not isinstance(src, dict) or not src.get("path"):

@@ -16,7 +16,7 @@ from typing import Mapping, NamedTuple, Sequence
 
 from .delphi import Barrier, RatingPanel, ScreeningResult
 from .errors import DatasetError, ValidationError
-from .fahp import PairwiseMatrix
+from .fahp import PairwiseMatrix, build_matrix
 from .tfn import TFN, TriangularFuzzyNumber, ValidationMode
 
 _RESOURCE = "iot_barriers_study.json"
@@ -87,10 +87,10 @@ def _parse_study(doc: dict) -> PaperStudy:
     f = doc["fahp"]
     criteria = [Barrier(c["id"], c.get("name", "")) for c in f["criteria"]]
     ids = [c.id for c in criteria]
-    cells = tuple(
-        tuple(TFN(*f["matrix"][rid][cid]) for cid in ids) for rid in ids
+    matrix = build_matrix(
+        [(rid, cid, TFN(*f["matrix"][rid][cid])) for rid in ids for cid in ids],
+        criteria, ValidationMode(f["mode"]),
     )
-    matrix = PairwiseMatrix(tuple(criteria), cells, ValidationMode(f["mode"]))
 
     fexp = f["expected"]
     fahp_expected = ExpectedRanking(

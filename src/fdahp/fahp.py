@@ -7,7 +7,6 @@ to unit sum, and rank.
 from __future__ import annotations
 
 import math
-from itertools import repeat
 from typing import Iterable, NamedTuple, Sequence
 
 from .delphi import Barrier, _as_barriers
@@ -29,41 +28,18 @@ from .tfn import (
 RECIPROCITY_TOLERANCE = 0.05
 
 
-class PairwiseMatrix:
+class PairwiseMatrix(NamedTuple):
     """Square grid of fuzzy pairwise comparisons over an ordered criteria list.
 
-    Construction validates: strict mode raises on the first violation, lenient
-    mode records every violation as a warning and keeps cells exactly as given.
+    `build_matrix` makes and validates one: strict mode raises on the first
+    violation, lenient mode records every violation in `warnings` and keeps
+    cells exactly as given.
     """
 
-    def __init__(
-        self,
-        criteria: Sequence[Barrier | str],
-        cells: Sequence[Sequence[TriangularFuzzyNumber]],
-        mode: ValidationMode = ValidationMode.STRICT,
-        *, _pairs: Sequence[Sequence[int]] = (),
-    ) -> None:
-        self.criteria = _as_barriers(criteria)
-        self.mode = mode
-        ids = [c.id for c in self.criteria]
-        if not ids:
-            raise ValidationError("matrix needs at least one criterion")
-        if len(set(ids)) != len(ids):
-            raise ValidationError("criterion ids must be unique")
-        n = len(ids)
-        try:
-            rows = tuple(map(tuple, cells))
-        except TypeError:  # the grid, or one of its rows, is not iterable
-            rows = ()
-        if len(rows) != n or any(len(row) != n for row in rows):
-            raise ValidationError(f"matrix must be {n}x{n} to match its criteria")
-        self.cells = tuple(
-            row if all(map(isinstance, row, repeat(TFN)))
-            else tuple(t if isinstance(t, TFN) else _as_tfn(f"cell ({ids[i]},{ids[j]})", t)
-                       for j, t in enumerate(row))
-            for i, row in enumerate(rows)
-        )
-        self.warnings = validate_cells(self.criteria, self.cells, mode, _pairs=_pairs)
+    criteria: tuple[Barrier, ...]
+    cells: tuple[tuple[TriangularFuzzyNumber, ...], ...]
+    mode: ValidationMode
+    warnings: list[ValidationWarning]
 
     @property
     def size(self) -> int:
@@ -157,12 +133,13 @@ def build_matrix(
     criteria: Sequence[Barrier | str],
     mode: ValidationMode = ValidationMode.STRICT,
 ) -> PairwiseMatrix:
-    """Assemble a matrix from sparse (row_id, col_id, tfn) entries; a plain
-    (l, m, u) triple is made a `TFN`, and one that cannot be raises naming its cell.
+    """Assemble a matrix from sparse (row_id, col_id, tfn) entries, a dense grid
+    being its n*n entries; a plain (l, m, u) triple is made a `TFN`, and one that
+    cannot be raises naming its cell.
 
     The diagonal defaults to (1,1,1); a missing mirror cell is auto-filled
     with the reciprocal of its counterpart. Explicitly supplied cells are
-    never overwritten.
+    never overwritten. The result has passed `validate_cells` in `mode`.
     """
     crits = _as_barriers(criteria)
     ids = [c.id for c in crits]
@@ -185,6 +162,8 @@ def build_matrix(
         grid[i][j] = t if isinstance(t, TFN) else _as_tfn(f"entry ({row_id},{col_id})", t)
         if i > j:
             pairs[j].append(i)
+    if not n:
+        raise ValidationError("matrix needs at least one criterion")
     for i in range(n):
         if grid[i][i] is None:
             grid[i][i] = UNIT_TFN
@@ -217,7 +196,8 @@ def build_matrix(
                 ) from None
     if missing:
         raise ValidationError(f"matrix incomplete after auto-fill; missing cells: {missing}")
-    return PairwiseMatrix(crits, tuple(map(tuple, grid)), mode, _pairs=pairs)  # type: ignore
+    cells: tuple = tuple(map(tuple, grid))
+    return PairwiseMatrix(crits, cells, mode, validate_cells(crits, cells, mode, _pairs=pairs))
 
 
 def row_geometric_means(m: PairwiseMatrix) -> list[TriangularFuzzyNumber]:

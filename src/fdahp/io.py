@@ -53,13 +53,17 @@ def detect_format(path: str | Path, explicit: str | None = None) -> str:
     raise ValidationError(f"cannot infer format of {path}; pass format explicitly")
 
 
-def load_json(path: str | Path) -> Any:
-    """Parse a UTF-8 JSON file; bad bytes or syntax raise a `ValidationError` naming it."""
+def load_json(path: str | Path, what: str) -> dict[str, Any]:
+    """Parse a UTF-8 JSON file that holds one object, the `what` that errors name; bad
+    bytes or syntax, or any other document, raise a `ValidationError` naming the file."""
     with open(path, encoding="utf-8") as f:
         try:
-            return json.load(f)
+            doc = json.load(f)
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an overlong integer
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+    if not isinstance(doc, dict):
+        raise ValidationError(f"{path}: {what} must be a JSON object")
+    return doc
 
 
 def _located(where: str | Path, build, *args):
@@ -221,12 +225,12 @@ def read_ratings_json(
     mode: ValidationMode = ValidationMode.STRICT,
 ) -> RatingPanel:
     path = Path(path)
-    doc = load_json(path)
+    doc = load_json(path, "ratings file")
     try:
         barriers = _parse_barrier_list(f"{path} barriers", _json_list(path, doc, "barriers"))
         experts = [str(e) for e in _json_list(path, doc, "experts")]
         entries = _json_list(path, doc, "ratings")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:  # a missing field
         raise ValidationError(f"{path}: missing or malformed field: {exc}") from None
     if scale is None:
         scale = _located(path, get_scale, doc.get("scale", "delphi-10"))
@@ -289,11 +293,11 @@ def read_matrix_json(
 ) -> PairwiseMatrix:
     """Read a pairwise matrix from JSON; an explicit `mode` overrides the file's."""
     path = Path(path)
-    doc = load_json(path)
+    doc = load_json(path, "matrix file")
     try:
         criteria = _parse_barrier_list(f"{path} criteria", _json_list(path, doc, "criteria"))
         cells = _json_list(path, doc, "cells")
-    except (KeyError, TypeError) as exc:
+    except KeyError as exc:  # a missing field
         raise ValidationError(f"{path}: missing or malformed field: {exc}") from None
     if mode is None:
         mode = _located(path, ValidationMode.parse, doc.get("mode", "strict"))

@@ -108,6 +108,13 @@ def _json(v: Any, indent: str = "") -> str:
     return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
 
 
+def _md_row(*cells: Any) -> str:
+    """One Markdown table row; in each cell `|` is escaped and line breaks become spaces."""
+    texts = [str(c).replace("|", "\\|").replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+             for c in cells]
+    return f"| {' | '.join(texts)} |"
+
+
 class Report(NamedTuple):
     """Plain-data report: what ran, on which inputs, with what outcome."""
 
@@ -197,9 +204,7 @@ class Report(NamedTuple):
                 "| --- | --- | --- | --- |",
             ]
             for b in s["barriers"]:
-                lines.append(
-                    f"| {b['id']} | {b['name']} | {b['score']:.4f} | {b['decision']} |"
-                )
+                lines.append(_md_row(b["id"], b["name"], f"{b['score']:.4f}", b["decision"]))
             lines.append("")
         if self.ranking:
             lines += [
@@ -209,9 +214,7 @@ class Report(NamedTuple):
                 "| --- | --- | --- | --- |",
             ]
             for c in self.ranking["criteria"]:
-                lines.append(
-                    f"| {c['id']} | {c['name']} | {c['weight_normalized']:.4f} | {c['rank']} |"
-                )
+                lines.append(_md_row(c["id"], c["name"], f"{c['weight_normalized']:.4f}", c["rank"]))
             lines.append("")
         if self.warnings:
             lines += ["## Warnings", ""]

@@ -1,9 +1,9 @@
-"""Shared test helpers: random-input generators for property checks, cell lookup by
-id, and an in-process CLI runner."""
+"""Shared test helpers: random-input generators for property checks, a matrix from a
+dense grid, cell lookup by id, and an in-process CLI runner."""
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
-from fdahp import TFN, build_matrix, tfn_reciprocal
+from fdahp import TFN, Barrier, build_matrix, tfn_reciprocal
 from fdahp.cli import main
 from fdahp.tfn import ValidationMode
 
@@ -39,6 +39,14 @@ def random_reciprocal_matrix(rng, n, mode=ValidationMode.STRICT, continuous=Fals
             entries.append((ids[i], ids[j], t))
             k += 1
     return build_matrix(entries, ids, mode)
+
+
+def grid_matrix(criteria, cells, mode=ValidationMode.STRICT):
+    """`build_matrix` over every cell of a dense grid, row by row."""
+    ids = [c.id if isinstance(c, Barrier) else c for c in criteria]
+    entries = [(rid, cid, t) for rid, row in zip(ids, cells, strict=True)
+               for cid, t in zip(ids, row, strict=True)]
+    return build_matrix(entries, criteria, mode)
 
 
 def cell(m, row_id, col_id):

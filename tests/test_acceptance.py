@@ -11,10 +11,9 @@ import json
 import numpy as np
 import pytest
 
-from helpers import random_reciprocal_matrix
+from helpers import grid_matrix, random_reciprocal_matrix
 from fdahp import (
     DELPHI_10,
-    PairwiseMatrix,
     RatingPanel,
     TFN,
     build_matrix,
@@ -155,7 +154,7 @@ def test_criterion_8b_relabeling_and_scale_invariance():
 
         perm = list(rng.permutation(n))
         permuted = run_fahp(
-            PairwiseMatrix(
+            grid_matrix(
                 tuple(m.criteria[i] for i in perm),
                 tuple(tuple(m.cells[i][j] for j in perm) for i in perm),
                 m.mode,
@@ -170,7 +169,7 @@ def test_criterion_8b_relabeling_and_scale_invariance():
         c = float(rng.uniform(0.2, 5.0))
         scaler = TFN(c, c, c)
         scaled = run_fahp(
-            PairwiseMatrix(
+            grid_matrix(
                 m.criteria,
                 tuple(tuple(tfn_multiply(t, scaler) for t in row) for row in m.cells),
                 ValidationMode.LENIENT,

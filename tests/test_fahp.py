@@ -4,7 +4,6 @@ import pytest
 
 from fdahp import (
     Barrier,
-    PairwiseMatrix,
     TFN,
     ValidationError,
     ValidationMode,
@@ -45,7 +44,7 @@ ORACLE_N = {
 }
 STUDY_ORDER = ["B10", "B9", "B7", "B5", "B3", "B2", "B4", "B1", "B8", "B6", "B11"]
 
-from helpers import cell, random_reciprocal_matrix  # noqa: E402
+from helpers import cell, grid_matrix, random_reciprocal_matrix  # noqa: E402
 
 
 class TestValidate:
@@ -72,7 +71,7 @@ class TestValidate:
         # cell ordering is checked before reciprocity, so (B8,B4) trips first
         cells = study.fahp_matrix.cells
         with pytest.raises(ValidationError, match=r"\(B8,B4\)"):
-            PairwiseMatrix(study.fahp_matrix.criteria, cells, ValidationMode.STRICT)
+            grid_matrix(study.fahp_matrix.criteria, cells, ValidationMode.STRICT)
 
     def test_reciprocity_tolerance_absorbs_printed_rounding(self):
         # 0.147 vs 1/7 is ~2.9% off and must pass at the 5% tolerance
@@ -91,8 +90,8 @@ class TestValidate:
 
     def test_non_unit_diagonal(self):
         with pytest.raises(ValidationError, match=r"\(A,A\)"):
-            PairwiseMatrix((Barrier("A"),), ((TFN(2, 2, 2),),), ValidationMode.STRICT)
-        lenient = PairwiseMatrix(
+            grid_matrix((Barrier("A"),), ((TFN(2, 2, 2),),), ValidationMode.STRICT)
+        lenient = grid_matrix(
             (Barrier("A"),), ((TFN(2, 2, 2),),), ValidationMode.LENIENT
         )
         assert [w.code for w in lenient.warnings] == ["non_unit_diagonal"]
@@ -102,35 +101,22 @@ class TestValidate:
         # 1/1e-310 is inf, and a nan ratio would pass any tolerance test
         tiny, unit = TFN(1e-310, 1e-310, 1e-310), TFN(1, 1, 1)
         with pytest.raises(ValidationError) as exc:
-            PairwiseMatrix(("A", "B"), ((unit, tiny), (unit, unit)), mode)
+            grid_matrix(("A", "B"), ((unit, tiny), (unit, unit)), mode)
         assert str(exc.value) == "(A,B)/(B,A): reciprocal of (1e-310, 1e-310, 1e-310) overflows"
 
-    def test_shape_mismatch(self):
-        with pytest.raises(ValidationError):
-            PairwiseMatrix((Barrier("A"), Barrier("B")), ((TFN(1, 1, 1),),))
-
-    @pytest.mark.parametrize("cells", [[5], 5, [[(1, 1, 1)], 7]])
-    def test_grid_that_is_not_iterable(self, cells):
-        with pytest.raises(ValidationError) as exc:
-            PairwiseMatrix(["A"], cells)
-        assert str(exc.value) == "matrix must be 1x1 to match its criteria"
-
     @pytest.mark.parametrize("bad, message", [
-        ((1, 2), "cell (B,A): expected an (l, m, u) triple, got (1, 2)"),
-        (5, "cell (B,A): expected an (l, m, u) triple, got 5"),
-        ((1, 2, float("inf")), "cell (B,A): TFN component u must be finite, got inf"),
-        ((True, 2, 3), "cell (B,A): TFN component l must be a real number, got True"),
+        ((1, 2), "entry (B,A): expected an (l, m, u) triple, got (1, 2)"),
+        (5, "entry (B,A): expected an (l, m, u) triple, got 5"),
+        ((1, 2, float("inf")), "entry (B,A): TFN component u must be finite, got inf"),
+        ((True, 2, 3), "entry (B,A): TFN component l must be a real number, got True"),
     ])
     def test_bad_cell_is_named(self, bad, message):
         unit = (1, 1, 1)
         for mode in ValidationMode:
             with pytest.raises(ValidationError) as exc:
-                PairwiseMatrix(("A", "B"), ((unit, unit), (bad, unit)), mode)
+                grid_matrix(("A", "B"), ((unit, unit), (bad, unit)), mode)
             assert str(exc.value) == message
-        # a non-square grid is reported as such, before any cell is coerced
-        with pytest.raises(ValidationError, match="matrix must be 2x2"):
-            PairwiseMatrix(("A", "B"), ((unit, unit, bad), (unit, unit)))
-        plain = PairwiseMatrix(("A", "B"), ((unit, (2, 3, 4)), ((0.25, 1 / 3, 0.5), unit)))
+        plain = grid_matrix(("A", "B"), ((unit, (2, 3, 4)), ((0.25, 1 / 3, 0.5), unit)))
         assert all(type(t) is TFN for row in plain.cells for t in row)
         assert plain.cells[0][1] == TFN(2.0, 3.0, 4.0)
 
@@ -228,7 +214,7 @@ class TestRowGeometricMeans:
         assert row_geometric_means(m)[0] == TFN(1, 1, 1)
 
     def test_negative_cell_rejected(self, study):
-        m = PairwiseMatrix(
+        m = grid_matrix(
             (Barrier("A"),), ((TFN(-1, 1, 1),),), ValidationMode.LENIENT
         )
         with pytest.raises(ValidationError):
@@ -348,7 +334,7 @@ class TestRunFahp:
             perm = list(rng.permutation(n))
             criteria = tuple(m.criteria[i] for i in perm)
             cells = tuple(tuple(m.cells[i][j] for j in perm) for i in perm)
-            permuted = run_fahp(PairwiseMatrix(criteria, cells, m.mode))
+            permuted = run_fahp(grid_matrix(criteria, cells, m.mode))
             for k, i in enumerate(perm):
                 assert permuted.normalized[k] == pytest.approx(
                     base.normalized[i], abs=1e-12
@@ -366,7 +352,7 @@ class TestRunFahp:
             cells = tuple(
                 tuple(tfn_multiply(t, scaler) for t in row) for row in m.cells
             )
-            scaled = run_fahp(PairwiseMatrix(m.criteria, cells, ValidationMode.LENIENT))
+            scaled = run_fahp(grid_matrix(m.criteria, cells, ValidationMode.LENIENT))
             for a, b in zip(scaled.normalized, base.normalized):
                 assert a == pytest.approx(b, abs=1e-12)
             assert scaled.ranks == base.ranks

@@ -12,6 +12,7 @@ from hypothesis import strategies as st  # noqa: E402
 from fdahp import TFN, Barrier, RatingPanel, ValidationError, ValidationMode  # noqa: E402
 from fdahp.delphi import DELPHI_10  # noqa: E402
 from fdahp.fahp import PairwiseMatrix, build_matrix  # noqa: E402
+from helpers import grid_matrix  # noqa: E402
 from fdahp.io import (  # noqa: E402
     MATRIX_HEADER,
     RATINGS_INT_HEADER,
@@ -68,7 +69,7 @@ def matrices(draw):
     ids = draw(st.lists(IDS, min_size=1, max_size=4, unique=True))
     triples = st.tuples(POSITIVE, POSITIVE, POSITIVE)
     cells = tuple(tuple(TFN(*draw(triples)) for _ in ids) for _ in ids)
-    return PairwiseMatrix(tuple(map(Barrier, ids)), cells, ValidationMode.LENIENT)
+    return grid_matrix(tuple(map(Barrier, ids)), cells, ValidationMode.LENIENT)
 
 
 @SETTINGS

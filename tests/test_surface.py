@@ -1,6 +1,6 @@
 """The public surface: the pinned `fdahp.__all__`, every name the benchmark imports,
-no definition that only a test names, and one short traced run of the benchmark
-harness."""
+no definition that only a test names, `build_matrix` as the one maker of a
+`PairwiseMatrix`, and one short traced run of the benchmark harness."""
 import ast
 import importlib
 import json
@@ -91,6 +91,20 @@ def test_every_definition_is_named_outside_the_tests():
                for name in _definitions(ast.parse(path.read_text(encoding="utf-8")))]
     assert len(defined) > 100
     assert [d for d in defined if d.rsplit(".", 1)[1] not in named] == []
+
+
+def test_only_build_matrix_makes_a_pairwise_matrix():
+    # build_matrix validates what it returns; any other call would skip that
+    callers = []
+    for path in sorted(PACKAGE.glob("*.py")):
+        tree = ast.parse(path.read_text(encoding="utf-8"))
+        for top in tree.body:
+            for node in ast.walk(top):
+                if not isinstance(node, ast.Call):
+                    continue
+                if "PairwiseMatrix" in (getattr(node.func, "id", ""), getattr(node.func, "attr", "")):
+                    callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
+    assert callers == ["fahp.build_matrix"]
 
 
 def test_traced_benchmark_run_is_correct_and_reports_every_layer():

@@ -13,7 +13,6 @@ from hypothesis import strategies as st  # noqa: E402
 from fdahp import (  # noqa: E402
     TFN,
     Barrier,
-    PairwiseMatrix,
     ValidationError,
     ValidationMode,
     build_matrix,
@@ -22,6 +21,7 @@ from fdahp import (  # noqa: E402
     tfn_reciprocal,
 )
 from fdahp.fahp import validate_cells  # noqa: E402
+from helpers import grid_matrix  # noqa: E402
 
 # Components that exercise every branch of validate_cells: ordinary positives,
 # signed zeros, negatives, and subnormals whose reciprocal overflows (1e-310)
@@ -263,7 +263,7 @@ def _bits(rows):
 @example([[(1.0, 1.0, 1.0), (2.0, -1.0, 3.0)], [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]])
 def test_row_geometric_means_match_geometric_mean(grid):
     ids = [f"C{k}" for k in range(len(grid))]
-    m = PairwiseMatrix(ids, grid, ValidationMode.LENIENT)
+    m = grid_matrix(ids, grid, ValidationMode.LENIENT)
     expected = _outcome(lambda: [[geometric_mean(list(col)) for col in zip(*row)]
                                  for row in m.cells])
     got = _outcome(row_geometric_means, m)
