@@ -64,7 +64,7 @@ def validate_cells(
     criteria: Sequence[Barrier],
     cells: Sequence[Sequence[TriangularFuzzyNumber]],
     mode: ValidationMode,
-    *, _pairs: Sequence[Sequence[int]] = (),
+    *, _pairs: Sequence[Sequence[int]] = (), _ordered: bool = False,
 ) -> list[ValidationWarning]:
     """Check cell ordering, unit diagonal, and reciprocity.
 
@@ -73,11 +73,13 @@ def validate_cells(
     cell has a nonpositive component cannot be reciprocity-checked and are
     reported as such; a forward cell whose reciprocal overflows raises in
     both modes. Given `_pairs`, row i tests reciprocity only against the
-    columns j > i that `_pairs[i]` lists.
+    columns j > i that `_pairs[i]` lists; `_ordered` vouches that every cell
+    is ordered, so the order scan is skipped.
     """
     ids = [c.id for c in criteria]
     n = len(ids)
     tol = RECIPROCITY_TOLERANCE
+    tol_text = format(tol, ".0%")
     warnings: list[ValidationWarning] = []
 
     def offend(code: str, location: str, message: str) -> None:
@@ -85,7 +87,7 @@ def validate_cells(
             raise ValidationError(f"{location}: {message}")
         warnings.append(ValidationWarning(code, location, message))
 
-    for i, row in enumerate(cells):
+    for i, row in enumerate(() if _ordered else cells):
         for j, (l, m, u) in enumerate(row):
             if not l <= m <= u:
                 offend(
@@ -103,7 +105,7 @@ def validate_cells(
     for i, row in enumerate(cells):
         for j in sorted(_pairs[i]) if _pairs else range(i + 1, n):
             fl, fm, fu = fwd = row[j]
-            bl, bm, bu = back = cells[j][i]
+            bl, bm, bu = cells[j][i]
             if fl <= 0 or fm <= 0 or fu <= 0 or bl <= 0 or bm <= 0 or bu <= 0:
                 offend(
                     "nonpositive_component",
@@ -122,8 +124,9 @@ def validate_cells(
             offend(
                 "reciprocity_breach",
                 pair,
-                f"{back} deviates from reciprocal {TFN(el, em, eu)} of {fwd} "
-                f"by {max(rl, rm, ru):.1%} (tolerance {tol:.0%})",
+                "(%g, %g, %g) deviates from reciprocal (%g, %g, %g) of (%g, %g, %g) "
+                "by %.1f%% (tolerance %s)"
+                % (bl, bm, bu, el, em, eu, fl, fm, fu, 100 * max(rl, rm, ru), tol_text),
             )
     return warnings
 
@@ -151,15 +154,21 @@ def build_matrix(
     # pairs[j] lists each i > j whose lower cell (i,j) is given: every other
     # mirror is filled as the exact reciprocal, or auto-fill raises
     pairs: list[list[int]] = [[] for _ in range(n)]
+    # all cells are ordered if all given are: a default diagonal is ordered, auto-fill
+    # raises on a nonpositive cell, and the mirror of an ordered positive cell is
+    # ordered, as correctly rounded 1/x is monotone
+    ordered = True
+    get = index.get
     for row_id, col_id, t in entries:
-        if row_id not in index:
+        if (i := get(row_id)) is None:
             raise ValidationError(f"entry row id {row_id!r} is not a known criterion")
-        if col_id not in index:
+        if (j := get(col_id)) is None:
             raise ValidationError(f"entry col id {col_id!r} is not a known criterion")
-        i, j = index[row_id], index[col_id]
         if grid[i][j] is not None:
             raise ValidationError(f"duplicate entry for cell ({row_id},{col_id})")
-        grid[i][j] = t if isinstance(t, TFN) else _as_tfn(f"entry ({row_id},{col_id})", t)
+        grid[i][j] = t = t if isinstance(t, TFN) else _as_tfn(f"entry ({row_id},{col_id})", t)
+        l, m, u = t
+        ordered &= l <= m <= u
         if i > j:
             pairs[j].append(i)
     if not n:
@@ -197,7 +206,8 @@ def build_matrix(
     if missing:
         raise ValidationError(f"matrix incomplete after auto-fill; missing cells: {missing}")
     cells: tuple = tuple(map(tuple, grid))
-    return PairwiseMatrix(crits, cells, mode, validate_cells(crits, cells, mode, _pairs=pairs))
+    warnings = validate_cells(crits, cells, mode, _pairs=pairs, _ordered=ordered)
+    return PairwiseMatrix(crits, cells, mode, warnings)
 
 
 def row_geometric_means(m: PairwiseMatrix) -> list[TriangularFuzzyNumber]:

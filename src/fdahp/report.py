@@ -26,7 +26,7 @@ TOOL_NAME = "fdahp"
 
 def round6(x: float) -> float:
     """Round to 6 significant digits (idempotent, repr-stable)."""
-    return float(f"{x:.6g}")
+    return float("%.6g" % x)
 
 
 def _round_tfn(t) -> list[float]:
@@ -108,10 +108,14 @@ def _json(v: Any, indent: str = "") -> str:
     return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
 
 
+def _one_line(text: str) -> str:
+    """`text` with each line break (CRLF, CR or LF) made one space."""
+    return text.replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
+
+
 def _md_row(*cells: Any) -> str:
     """One Markdown table row; in each cell `|` is escaped and line breaks become spaces."""
-    texts = [str(c).replace("|", "\\|").replace("\r\n", " ").replace("\r", " ").replace("\n", " ")
-             for c in cells]
+    texts = [_one_line(str(c).replace("|", "\\|")) for c in cells]
     return f"| {' | '.join(texts)} |"
 
 
@@ -219,10 +223,10 @@ class Report(NamedTuple):
         if self.warnings:
             lines += ["## Warnings", ""]
             for warning in self.warnings:
-                lines.append(
+                lines.append(_one_line(
                     f"- `{warning['stage']}` [{warning['code']}] "
                     f"{warning['location']}: {warning['message']}"
-                )
+                ))
             lines.append("")
         return "\n".join(lines)
 

@@ -72,6 +72,8 @@ def build_cases() -> list[list[str]]:
         ["rank", "--matrix", "study/fahp_matrix.json", "--format", "csv"],
         ["screen", "--ratings", "edge/ratings/pipe_and_line_break.json", "--emit", "md"],
         ["rank", "--matrix", "edge/matrix/pipe_and_line_break.csv", "--emit", "md"],
+        ["rank", "--matrix", "edge/matrix/line_break_breach.csv", "--mode", "lenient",
+         "--emit", "md"],
         ["--log-level", "info", "screen", "--ratings", study_csv, "--emit", "csv"],
         ["--log-level", "info", "rank", "--matrix", "study/fahp_matrix.json", "--emit", "csv"],
         ["--log-level", "info", "pipeline", "--config", "configs/study_json_lenient.json"],

@@ -217,9 +217,19 @@ def _outcome(fn, *args):
 @example((["A", "B"], [("A", "B", TFN(1e-310, 1.0, 2.0))]))
 @example((["A", "B", "C"], [("A", "B", TFN(2.0, 3.0, 4.0)), ("A", "C", TFN(2.0, 3.0, 4.0)),
                             ("C", "A", TFN(0.2, 0.3, 0.4)), ("B", "C", (2, 3, 4))]))
+# an unordered given cell whose mirror is unordered too; one whose mirror
+# (1/7, 1/7, 1) is ordered, as 1/nextafter(7, inf) rounds to 1/7; an unordered diagonal
+@example((["A", "B"], [("A", "B", TFN(3.0, 2.0, 4.0))]))
+@example((["A", "B"], [("A", "B", TFN(1.0, math.nextafter(7.0, math.inf), 7.0))]))
+@example((["A", "B"], [("A", "A", TFN(2.0, 1.0, 3.0)), ("B", "A", TFN(1.0, 2.0, 3.0))]))
+# an ordered nonpositive cell: auto-filling its mirror raises, and a given
+# mirror that is unordered is still reported
+@example((["A", "B"], [("A", "B", TFN(-2.0, -1.0, 3.0))]))
+@example((["A", "B"], [("A", "B", TFN(-2.0, -1.0, 3.0)), ("B", "A", TFN(1 / 3, -1.0, -0.5))]))
 def test_build_matrix_matches_full_validation(drawn):
     # build_matrix skips the reciprocity test where it filled a lower mirror
-    # itself; the verdicts must be those of checking every pair
+    # itself, and the order scan when every given cell is ordered; the
+    # verdicts must be those of checking every cell and pair
     ids, entries = drawn
     cells, fill_error = reference_fill(ids, entries)
     criteria = tuple(Barrier(i) for i in ids)
@@ -261,6 +271,7 @@ def _bits(rows):
 @example([[(-0.0, 0.0, 2.0)]])
 @example([[(1.0, 1.0, 1.0), (0.0, 2.0, 3.0)], [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]])
 @example([[(1.0, 1.0, 1.0), (2.0, -1.0, 3.0)], [(0.5, 0.5, 0.5), (1.0, 1.0, 1.0)]])
+@example([[(0.3, 0.3, 2.0), (2.0, 0.3, 0.3)], [(0.3, 2.0, 0.3), (0.3, 0.3, 0.3)]])  # one value in many cells
 def test_row_geometric_means_match_geometric_mean(grid):
     ids = [f"C{k}" for k in range(len(grid))]
     m = grid_matrix(ids, grid, ValidationMode.LENIENT)
