@@ -17,6 +17,7 @@ from .tfn import (
     TriangularFuzzyNumber,
     ValidationMode,
     ValidationWarning,
+    _fsum,
     aggregate_min_geo_max,
     centroid_defuzzify,
 )
@@ -265,10 +266,7 @@ def compute_threshold(
         raise ValidationError("cannot compute a threshold from empty scores")
     if strategy.kind == "fixed":
         return float(strategy.value)  # type: ignore[arg-type]
-    try:
-        return math.fsum(scores.values()) / len(scores)
-    except OverflowError:
-        raise ValidationError("mean threshold: the sum of the scores overflows") from None
+    return _fsum(scores.values(), "mean threshold: the sum of the scores overflows") / len(scores)
 
 
 def screen(

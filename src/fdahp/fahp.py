@@ -17,6 +17,7 @@ from .tfn import (
     TriangularFuzzyNumber,
     ValidationMode,
     ValidationWarning,
+    _fsum,
     _geometric_mean,
     centroid_defuzzify,
     tfn_multiply,
@@ -64,71 +65,10 @@ def validate_cells(
     criteria: Sequence[Barrier],
     cells: Sequence[Sequence[TriangularFuzzyNumber]],
     mode: ValidationMode,
-    *, _pairs: Sequence[Sequence[int]] = (), _ordered: bool = False,
 ) -> list[ValidationWarning]:
-    """Check cell ordering, unit diagonal, and reciprocity.
-
-    Stages run in a fixed order; strict mode raises at the first offending
-    cell, lenient mode returns one warning per violation. Pairs whose forward
-    cell has a nonpositive component cannot be reciprocity-checked and are
-    reported as such; a forward cell whose reciprocal overflows raises in
-    both modes. Given `_pairs`, row i tests reciprocity only against the
-    columns j > i that `_pairs[i]` lists; `_ordered` vouches that every cell
-    is ordered, so the order scan is skipped.
-    """
-    ids = [c.id for c in criteria]
-    n = len(ids)
-    tol = RECIPROCITY_TOLERANCE
-    tol_text = format(tol, ".0%")
-    warnings: list[ValidationWarning] = []
-
-    def offend(code: str, location: str, message: str) -> None:
-        if mode is ValidationMode.STRICT:
-            raise ValidationError(f"{location}: {message}")
-        warnings.append(ValidationWarning(code, location, message))
-
-    for i, row in enumerate(() if _ordered else cells):
-        for j, (l, m, u) in enumerate(row):
-            if not l <= m <= u:
-                offend(
-                    "non_monotone",
-                    f"({ids[i]},{ids[j]})",
-                    f"cell {row[j]} is not ordered l <= m <= u",
-                )
-    for i in range(n):
-        if cells[i][i] != UNIT_TFN:
-            offend(
-                "non_unit_diagonal",
-                f"({ids[i]},{ids[i]})",
-                f"diagonal cell is {cells[i][i]}, expected (1, 1, 1)",
-            )
-    for i, row in enumerate(cells):
-        for j in sorted(_pairs[i]) if _pairs else range(i + 1, n):
-            fl, fm, fu = fwd = row[j]
-            bl, bm, bu = cells[j][i]
-            if fl <= 0 or fm <= 0 or fu <= 0 or bl <= 0 or bm <= 0 or bu <= 0:
-                offend(
-                    "nonpositive_component",
-                    f"({ids[i]},{ids[j]})/({ids[j]},{ids[i]})",
-                    "cells must be strictly positive to check reciprocity",
-                )
-                continue
-            el, em, eu = 1.0 / fu, 1.0 / fm, 1.0 / fl
-            rl, rm, ru = abs(bl - el) / el, abs(bm - em) / em, abs(bu - eu) / eu
-            if rl <= tol and rm <= tol and ru <= tol:
-                continue
-            pair = f"({ids[i]},{ids[j]})/({ids[j]},{ids[i]})"
-            if math.inf in (el, em, eu):
-                # 1/x overflowed: inf/inf is nan, which no tolerance test flags
-                raise ValidationError(f"{pair}: reciprocal of {fwd} overflows")
-            offend(
-                "reciprocity_breach",
-                pair,
-                "(%g, %g, %g) deviates from reciprocal (%g, %g, %g) of (%g, %g, %g) "
-                "by %.1f%% (tolerance %s)"
-                % (bl, bm, bu, el, em, eu, fl, fm, fu, 100 * max(rl, rm, ru), tol_text),
-            )
-    return warnings
+    """The warnings of `build_matrix` over the n*n entries of `cells`."""
+    entries = [(r.id, c.id, t) for r, row in zip(criteria, cells) for c, t in zip(criteria, row)]
+    return build_matrix(entries, criteria, mode).warnings
 
 
 def build_matrix(
@@ -136,13 +76,15 @@ def build_matrix(
     criteria: Sequence[Barrier | str],
     mode: ValidationMode = ValidationMode.STRICT,
 ) -> PairwiseMatrix:
-    """Assemble a matrix from sparse (row_id, col_id, tfn) entries, a dense grid
-    being its n*n entries; a plain (l, m, u) triple is made a `TFN`, and one that
-    cannot be raises naming its cell.
+    """Assemble and validate a matrix from sparse (row_id, col_id, tfn) entries, a
+    dense grid being its n*n entries; a plain (l, m, u) triple is made a `TFN`, and
+    one that cannot be raises naming its cell.
 
-    The diagonal defaults to (1,1,1); a missing mirror cell is auto-filled
-    with the reciprocal of its counterpart. Explicitly supplied cells are
-    never overwritten. The result has passed `validate_cells` in `mode`.
+    The diagonal defaults to (1,1,1); a missing mirror cell is auto-filled with the
+    reciprocal of its counterpart, and given cells are never overwritten. Then cell
+    order, unit diagonal and reciprocity are checked: strict mode raises at the first
+    violation, lenient mode records each. A pair with a nonpositive component is
+    reported as such; a forward cell whose reciprocal overflows raises in both modes.
     """
     crits = _as_barriers(criteria)
     ids = [c.id for c in crits]
@@ -151,13 +93,10 @@ def build_matrix(
         raise ValidationError("criterion ids must be unique")
     n = len(ids)
     grid: list[list[TriangularFuzzyNumber | None]] = [[None] * n for _ in range(n)]
-    # pairs[j] lists each i > j whose lower cell (i,j) is given: every other
-    # mirror is filled as the exact reciprocal, or auto-fill raises
+    # pairs[j] lists each i > j whose lower cell (i,j) is given; every other
+    # lower cell is auto-filled as the exact reciprocal, or auto-fill raises
     pairs: list[list[int]] = [[] for _ in range(n)]
-    # all cells are ordered if all given are: a default diagonal is ordered, auto-fill
-    # raises on a nonpositive cell, and the mirror of an ordered positive cell is
-    # ordered, as correctly rounded 1/x is monotone
-    ordered = True
+    ordered = True  # every given cell is ordered
     get = index.get
     for row_id, col_id, t in entries:
         if (i := get(row_id)) is None:
@@ -180,10 +119,9 @@ def build_matrix(
     # equal positive finite floats have equal bits, so equal forward cells share one mirror
     mirrors: dict[TFN, TFN] = {}
     cols = list(zip(*grid)) if any(None in row for row in grid) else ()
-    for i, row in enumerate(grid):
+    for i, (row, col) in enumerate(zip(grid, cols)):
         if None not in row:
             continue
-        col = cols[i]
         for j in range(n):
             if row[j] is not None:
                 continue
@@ -191,22 +129,72 @@ def build_matrix(
                 missing.append(f"({ids[i]},{ids[j]})")
                 continue
             if (t := mirrors.get(f)) is None:
-                fl, fm, fu = f
-                if fl > 0 and fm > 0 and fu > 0 and 1 / fl + 1 / fm + 1 / fu < math.inf:
-                    t = mirrors[f] = tuple.__new__(TFN, (1.0 / fu, 1.0 / fm, 1.0 / fl))
-            if t is not None:
-                row[j] = t
-                continue
-            try:
-                row[j] = tfn_reciprocal(f)
-            except ValidationError as exc:
-                raise ValidationError(
-                    f"auto-fill of ({ids[i]},{ids[j]}) from ({ids[j]},{ids[i]}): {exc}"
-                ) from None
+                try:
+                    t = mirrors[f] = tfn_reciprocal(f)
+                except ValidationError as exc:
+                    raise ValidationError(
+                        f"auto-fill of ({ids[i]},{ids[j]}) from ({ids[j]},{ids[i]}): {exc}"
+                    ) from None
+            row[j] = t
     if missing:
         raise ValidationError(f"matrix incomplete after auto-fill; missing cells: {missing}")
     cells: tuple = tuple(map(tuple, grid))
-    warnings = validate_cells(crits, cells, mode, _pairs=pairs, _ordered=ordered)
+    tol = RECIPROCITY_TOLERANCE
+    tol_text = format(tol, ".0%")
+    warnings: list[ValidationWarning] = []
+
+    def offend(code: str, location: str, message: str) -> None:
+        if mode is ValidationMode.STRICT:
+            raise ValidationError(f"{location}: {message}")
+        warnings.append(ValidationWarning(code, location, message))
+
+    # all cells are ordered if all given are: a default diagonal is ordered, auto-fill
+    # raises on a nonpositive cell, and the mirror of an ordered positive cell is
+    # ordered, as correctly rounded 1/x is monotone
+    if not ordered:
+        for i, row in enumerate(cells):
+            for j, (l, m, u) in enumerate(row):
+                if not l <= m <= u:
+                    offend(
+                        "non_monotone",
+                        f"({ids[i]},{ids[j]})",
+                        f"cell {row[j]} is not ordered l <= m <= u",
+                    )
+    for i in range(n):
+        if cells[i][i] != UNIT_TFN:
+            offend(
+                "non_unit_diagonal",
+                f"({ids[i]},{ids[i]})",
+                f"diagonal cell is {cells[i][i]}, expected (1, 1, 1)",
+            )
+    for i, row in enumerate(cells):
+        for j in sorted(pairs[i]):
+            fl, fm, fu = fwd = row[j]
+            bl, bm, bu = cells[j][i]
+            if fl <= 0 or fm <= 0 or fu <= 0 or bl <= 0 or bm <= 0 or bu <= 0:
+                offend(
+                    "nonpositive_component",
+                    f"({ids[i]},{ids[j]})/({ids[j]},{ids[i]})",
+                    "cells must be strictly positive to check reciprocity",
+                )
+                continue
+            el, em, eu = 1.0 / fu, 1.0 / fm, 1.0 / fl
+            rl, rm, ru = abs(bl - el) / el, abs(bm - em) / em, abs(bu - eu) / eu
+            if rl <= tol and rm <= tol and ru <= tol:
+                continue
+            pair = f"({ids[i]},{ids[j]})/({ids[j]},{ids[i]})"
+            if math.inf in (el, em, eu):
+                # 1/x overflowed: inf/inf is nan, which no tolerance test flags
+                raise ValidationError(f"{pair}: reciprocal of {fwd} overflows")
+            by = 100 * max(rl, rm, ru)
+            offend(
+                "reciprocity_breach",
+                pair,
+                "(%g, %g, %g) deviates from reciprocal (%g, %g, %g) of (%g, %g, %g) "
+                "by %s (tolerance %s)"
+                % (bl, bm, bu, el, em, eu, fl, fm, fu,
+                   "%.1f%%" % by if by < math.inf else "over 1e+308%", tol_text),
+            )
     return PairwiseMatrix(crits, cells, mode, warnings)
 
 
@@ -226,12 +214,8 @@ def fuzzy_weights(
     """
     if not r:
         raise ValidationError("no row geometric means to weight")
-    try:
-        total = TFN(*map(math.fsum, zip(*r)))
-    except OverflowError:
-        raise ValidationError(
-            "weight normalization: the sum of the row geometric means overflows"
-        ) from None
+    overflow = "weight normalization: the sum of the row geometric means overflows"
+    total = TFN(*(_fsum(col, overflow) for col in zip(*r)))
     if min(total) <= 0:
         raise ValidationError(f"weight normalization requires positive totals, got {total}")
     try:  # a subnormal total inverts to inf; a huge weight can overflow too
@@ -247,7 +231,7 @@ def crisp_weights(w: Sequence[TriangularFuzzyNumber]) -> tuple[list[float], list
     if not w:
         raise ValidationError("no fuzzy weights to defuzzify")
     m_vals = [centroid_defuzzify(t) for t in w]
-    s = math.fsum(m_vals)
+    s = _fsum(m_vals, "crisp weights: the sum of the centroids overflows")
     if s == 0:
         raise ValidationError("crisp weights sum to zero; cannot normalize")
     return m_vals, [v / s for v in m_vals]

@@ -119,6 +119,14 @@ def tfn_reciprocal(t: TFN) -> TFN:
     return TFN(1.0 / u, 1.0 / m, 1.0 / l)
 
 
+def _fsum(values: Iterable[float], overflow: str) -> float:
+    """`math.fsum(values)`; a sum past the float range raises `overflow`."""
+    try:
+        return math.fsum(values)
+    except OverflowError:
+        raise ValidationError(overflow) from None
+
+
 def geometric_mean(values: Sequence[float]) -> float:
     """Geometric mean of nonnegative reals, zero if any factor is zero.
 

@@ -221,6 +221,14 @@ class TestRank:
         assert (code, out) == (2, "")
         assert err.startswith("error: weight normalization: ")
 
+    def test_overflowing_centroid_sum_exits_2(self, capsys, tmp_path):
+        f = tmp_path / "huge.csv"
+        cells = "".join(f"{a},{b},1e-200,1,5e211\n" for a in "ABCD" for b in "ABCD" if a != b)
+        f.write_text("row_id,col_id,l,m,u\n" + cells, encoding="utf-8")
+        code, out, err = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
+        assert (code, out) == (2, "")
+        assert err == "error: crisp weights: the sum of the centroids overflows\n"
+
     def test_subnormal_weight_total_exits_2(self, capsys, tmp_path):
         f = tmp_path / "tiny.csv"
         f.write_text("row_id,col_id,l,m,u\nA,A,1e-310,1e-310,1e-310\n", encoding="utf-8")
