@@ -13,7 +13,7 @@ from pathlib import Path
 from . import __version__
 from .dataset import load_paper_study, renumber_selected, sequential_renumber_map
 from .delphi import ThresholdStrategy, get_scale, screen
-from .errors import DatasetError, ValidationError
+from .errors import DatasetError, ValidationError, _located
 from .fahp import run_fahp
 from .io import (
     load_json,
@@ -124,7 +124,7 @@ def cmd_screen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     scale = get_scale(args.scale) if args.scale is not None else None
     panel = read_ratings(args.ratings, args.format, scale, ValidationMode.parse(args.mode))
-    result = screen(panel, ThresholdStrategy.parse(args.threshold))
+    result = _located(args.ratings, screen, panel, ThresholdStrategy.parse(args.threshold))
     _info(args, f"screened {len(result.rows)} barriers: {len(result.selected_ids)} selected")
     return _emit_report(args, t0, {"ratings": args.ratings}, screening=result)
 
@@ -133,7 +133,7 @@ def cmd_rank(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     mode = ValidationMode.parse(args.mode) if args.mode else None
     matrix = read_matrix(args.matrix, args.format, mode)
-    result = run_fahp(matrix)
+    result = _located(args.matrix, run_fahp, matrix)
     _info(args, f"ranked {matrix.size} criteria; top is {result.rank_order[0]}")
     return _emit_report(args, t0, {"matrix": args.matrix}, ranking=result)
 
@@ -165,15 +165,14 @@ def _load_pipeline_config(path: str) -> dict:
 def cmd_pipeline(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _load_pipeline_config(args.config)
-    try:
-        mode = ValidationMode.parse(cfg.get("mode", "strict"))
-        scale = get_scale(cfg.get("scale", "delphi-10"))
-    except ValidationError as exc:
-        raise ValidationError(f"{args.config}: {exc}") from None
+    mode = _located(args.config, ValidationMode.parse, cfg.get("mode", "strict"))
+    scale = _located(args.config, get_scale, cfg["scale"]) if "scale" in cfg else None
+    ratings_path, matrix_path = cfg["ratings"]["path"], cfg["matrix"]["path"]
 
     try:
-        panel = read_ratings(cfg["ratings"]["path"], cfg["ratings"].get("format"), scale, mode)
-        screening = screen(panel, ThresholdStrategy.parse(cfg.get("threshold", "mean")))
+        panel = read_ratings(ratings_path, cfg["ratings"].get("format"), scale, mode)
+        threshold = ThresholdStrategy.parse(cfg.get("threshold", "mean"))
+        screening = _located(ratings_path, screen, panel, threshold)
     except ValidationError as exc:
         raise ValidationError(f"[screen] {exc}") from None
     _info(args, f"pipeline: {len(screening.selected_ids)} of {len(screening.rows)} "
@@ -192,19 +191,18 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         criteria = screening.selected_barriers
 
     try:
-        matrix = read_matrix(cfg["matrix"]["path"], cfg["matrix"].get("format"), mode)
+        matrix = read_matrix(matrix_path, cfg["matrix"].get("format"), mode)
         expected_ids = [c.id for c in criteria]
         if matrix.ids != expected_ids:
             raise ValidationError(
                 f"matrix criteria {matrix.ids} do not match the screened "
                 f"criteria {expected_ids}"
             )
-        ranking = run_fahp(matrix)
+        ranking = _located(matrix_path, run_fahp, matrix)
     except ValidationError as exc:
         raise ValidationError(f"[rank] {exc}") from None
 
-    inputs = {"config": args.config, "ratings": cfg["ratings"]["path"],
-              "matrix": cfg["matrix"]["path"]}
+    inputs = {"config": args.config, "ratings": ratings_path, "matrix": matrix_path}
     return _emit_report(args, t0, inputs, cfg.get("emit", "json"), cfg.get("output"),
                         screening=screening, ranking=ranking)
 

@@ -14,3 +14,12 @@ class ValidationError(FdahpError, ValueError):
 
 class DatasetError(FdahpError):
     """The bundled study resource is missing, unreadable, or corrupted."""
+
+
+def _located(where: object, build, *args):
+    """`build(*args)`, with `where` (a file, or a place in one) prefixed to any
+    validation error it raises."""
+    try:
+        return build(*args)
+    except ValidationError as exc:
+        raise ValidationError(f"{where}: {exc}") from None

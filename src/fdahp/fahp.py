@@ -10,7 +10,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .delphi import Barrier, _as_barriers
-from .errors import ValidationError
+from .errors import ValidationError, _located
 from .tfn import (
     TFN,
     UNIT_TFN,
@@ -54,9 +54,7 @@ class PairwiseMatrix(NamedTuple):
 def _as_tfn(where: str, t) -> TriangularFuzzyNumber:
     """`TFN(*t)`; a `t` that cannot be one raises naming `where`."""
     try:
-        return TFN(*t)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
+        return _located(where, TFN, *t)
     except TypeError:  # not iterable, or not three items
         raise ValidationError(f"{where}: expected an (l, m, u) triple, got {t!r}") from None
 

@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence, TextIO
 
 from .delphi import Barrier, LinguisticScale, RatingPanel, get_scale
-from .errors import ValidationError
+from .errors import ValidationError, _located
 from .fahp import PairwiseMatrix, build_matrix
 from .tfn import TFN, TriangularFuzzyNumber, ValidationMode
 
@@ -64,15 +64,6 @@ def load_json(path: str | Path, what: str) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")
     return doc
-
-
-def _located(where: str | Path, build, *args):
-    """`build(*args)`, with `where` (a file, or a place in one) prefixed to any
-    validation error it raises."""
-    try:
-        return build(*args)
-    except ValidationError as exc:
-        raise ValidationError(f"{where}: {exc}") from None
 
 
 def _csv_rows(f: TextIO, path: Path) -> Iterator[tuple[int, list[str] | None]]:
@@ -139,10 +130,7 @@ def _scale_rating(path: Path, line: int, scale: LinguisticScale, raw: str) -> Tr
         raise ValidationError(
             f"{path} line {line}: field 'rating' is not an integer: {raw!r}"
         ) from None
-    try:
-        return scale.tfn(rating)
-    except ValidationError as exc:
-        raise ValidationError(f"{path} line {line}: {exc}") from None
+    return _located(f"{path} line {line}", scale.tfn, rating)
 
 
 def _json_tfn(t) -> TriangularFuzzyNumber:
@@ -211,8 +199,10 @@ def _parse_barrier_list(where: str, items: Sequence[Any]) -> list[Barrier]:
     return out
 
 
-def _json_list(path: Path, doc: Any, key: str) -> list:
-    """`doc[key]`, which must be a JSON array."""
+def _json_list(path: Path, doc: dict[str, Any], key: str) -> list:
+    """`doc[key]`, which must be present and a JSON array."""
+    if key not in doc:
+        raise ValidationError(f"{path}: missing or malformed field: {key!r}")
     items = doc[key]
     if not isinstance(items, list):
         raise ValidationError(f"{path}: {key!r} must be a list, got {type(items).__name__}")
@@ -226,21 +216,15 @@ def read_ratings_json(
 ) -> RatingPanel:
     path = Path(path)
     doc = load_json(path, "ratings file")
-    try:
-        barriers = _parse_barrier_list(f"{path} barriers", _json_list(path, doc, "barriers"))
-        experts = [str(e) for e in _json_list(path, doc, "experts")]
-        entries = _json_list(path, doc, "ratings")
-    except KeyError as exc:  # a missing field
-        raise ValidationError(f"{path}: missing or malformed field: {exc}") from None
+    barriers = _parse_barrier_list(f"{path} barriers", _json_list(path, doc, "barriers"))
+    experts = [str(e) for e in _json_list(path, doc, "experts")]
+    entries = _json_list(path, doc, "ratings")
     if scale is None:
         scale = _located(path, get_scale, doc.get("scale", "delphi-10"))
     grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
     for k, rec in enumerate(entries):
         try:
             key = (str(rec["barrier_id"]), str(rec["expert_id"]))
-        except (KeyError, TypeError):  # a missing id, or a record that is not an object
-            raise ValidationError(f"{path} ratings[{k}]: needs barrier_id and expert_id") from None
-        try:
             if key in grid:
                 raise ValidationError(f"duplicate rating for {key}")
             if "tfn" in rec:
@@ -251,6 +235,8 @@ def read_ratings_json(
                 grid[key] = scale.tfn(rating)
             else:
                 raise ValidationError("needs either 'rating' or 'tfn'")
+        except (KeyError, TypeError):  # a missing id, or a record that is not an object
+            raise ValidationError(f"{path} ratings[{k}]: needs barrier_id and expert_id") from None
         except ValidationError as exc:
             raise ValidationError(f"{path} ratings[{k}]: {exc}") from None
     return _located(path, RatingPanel, tuple(barriers), tuple(experts), grid, mode)
@@ -294,21 +280,16 @@ def read_matrix_json(
     """Read a pairwise matrix from JSON; an explicit `mode` overrides the file's."""
     path = Path(path)
     doc = load_json(path, "matrix file")
-    try:
-        criteria = _parse_barrier_list(f"{path} criteria", _json_list(path, doc, "criteria"))
-        cells = _json_list(path, doc, "cells")
-    except KeyError as exc:  # a missing field
-        raise ValidationError(f"{path}: missing or malformed field: {exc}") from None
+    criteria = _parse_barrier_list(f"{path} criteria", _json_list(path, doc, "criteria"))
+    cells = _json_list(path, doc, "cells")
     if mode is None:
         mode = _located(path, ValidationMode.parse, doc.get("mode", "strict"))
     entries = []
     for k, rec in enumerate(cells):
         try:
-            row, col, triple = rec["row"], rec["col"], rec["tfn"]
+            entries.append((str(rec["row"]), str(rec["col"]), _json_tfn(rec["tfn"])))
         except (KeyError, TypeError):  # a missing field, or a record that is not an object
             raise ValidationError(f"{path} cells[{k}]: needs row, col, and tfn") from None
-        try:
-            entries.append((str(row), str(col), _json_tfn(triple)))
         except ValidationError as exc:
             raise ValidationError(f"{path} cells[{k}]: {exc}") from None
     return _located(path, build_matrix, entries, criteria, mode)

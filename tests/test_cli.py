@@ -136,7 +136,7 @@ class TestScreen:
         f = tmp_path / "huge.csv"
         f.write_text("barrier_id,expert_id,l,m,u\n" + rows, encoding="utf-8")
         code, out, err = run(capsys, ["screen", "--ratings", str(f)])
-        assert (code, out, err) == (2, "", f"error: {message}\n")
+        assert (code, out, err) == (2, "", f"error: {f}: {message}\n")
 
 
 class TestRank:
@@ -219,7 +219,7 @@ class TestRank:
         f.write_text("row_id,col_id,l,m,u\n" + cells, encoding="utf-8")
         code, out, err = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: weight normalization: ")
+        assert err.startswith(f"error: {f}: weight normalization: ")
 
     def test_overflowing_centroid_sum_exits_2(self, capsys, tmp_path):
         f = tmp_path / "huge.csv"
@@ -227,14 +227,14 @@ class TestRank:
         f.write_text("row_id,col_id,l,m,u\n" + cells, encoding="utf-8")
         code, out, err = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
         assert (code, out) == (2, "")
-        assert err == "error: crisp weights: the sum of the centroids overflows\n"
+        assert err == f"error: {f}: crisp weights: the sum of the centroids overflows\n"
 
     def test_subnormal_weight_total_exits_2(self, capsys, tmp_path):
         f = tmp_path / "tiny.csv"
         f.write_text("row_id,col_id,l,m,u\nA,A,1e-310,1e-310,1e-310\n", encoding="utf-8")
         code, out, err = run(capsys, ["rank", "--matrix", str(f), "--mode", "lenient"])
         assert (code, out) == (2, "")
-        assert err.startswith("error: weight normalization: ")
+        assert err.startswith(f"error: {f}: weight normalization: ")
 
     def test_json_cells_not_a_list_exits_2(self, capsys, tmp_path):
         f = tmp_path / "m.json"
@@ -435,6 +435,20 @@ class TestPaperVerify:
             "non-monotone-cell-b8-b4",
             "off-reciprocal-cell-b1-b5",
         }
+
+    @pytest.mark.parametrize("argv", [["paper-verify"], ["export", "--dest", "out"]],
+                             ids=["paper-verify", "export"])
+    def test_corrupted_study_exits_1(self, capsys, monkeypatch, tmp_path, argv):
+        from fdahp import dataset
+
+        raw = dataset._load_bytes()
+        monkeypatch.setattr(dataset, "_load_bytes", lambda: raw.replace(b"0.21185", b"0.71185"))
+        monkeypatch.chdir(tmp_path)
+        code, out, err = run(capsys, argv)
+        assert (code, out) == (1, "")
+        assert err.startswith("error: embedded study resource ")
+        assert " is corrupted: sha256 " in err
+        assert list(tmp_path.iterdir()) == []
 
     def test_check_harness_catches_perturbations(self, study):
         # a half-point nudge on one panel cell must fail a named check

@@ -107,6 +107,42 @@ def test_only_build_matrix_makes_a_pairwise_matrix():
     assert callers == ["fahp.build_matrix"]
 
 
+def _rewraps_validation_error(handler: ast.ExceptHandler) -> bool:
+    """`except ... ValidationError as exc` whose body raises a `ValidationError`
+    whose message formats `{exc}`."""
+    caught = handler.type.elts if isinstance(handler.type, ast.Tuple) else [handler.type]
+    if handler.name is None or not any(getattr(t, "id", "") == "ValidationError" for t in caught):
+        return False
+    return any(
+        isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+        and getattr(node.exc.func, "id", "") == "ValidationError"
+        and any(isinstance(v, ast.FormattedValue) and getattr(v.value, "id", "") == handler.name
+                for s in ast.walk(node.exc) if isinstance(s, ast.JoinedStr) for v in s.values)
+        for stmt in handler.body for node in ast.walk(stmt)
+    )
+
+
+def test_one_helper_prefixes_a_location():
+    # errors._located prefixes "where: " to a ValidationError; every other
+    # re-raise of one is pinned here with the reason it is written out by hand
+    sites = sorted(
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in PACKAGE.glob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.ExceptHandler) and _rewraps_validation_error(node)
+    )
+    assert sites == [
+        "cli.cmd_pipeline",  # "[screen] ...": a stage tag, with no colon
+        "cli.cmd_pipeline",  # "[rank] ...": the same
+        "errors._located",  # the helper itself
+        "fahp.build_matrix",  # auto-fill: names the pair only on failure, not per memo miss
+        "fahp.fuzzy_weights",  # adds a suffix, the row-mean total, not a prefix
+        "io.read_matrix_json",  # "{path} cells[k]": formatted only on failure, per record
+        "io.read_ratings_json",  # "{path} ratings[k]": the same
+    ]
+
+
 def test_traced_benchmark_run_is_correct_and_reports_every_layer():
     # traced only: bench/compare.py skips traced records, so this run never
     # enters a parent/change comparison
