@@ -100,10 +100,14 @@ def _json(v: Any, indent: str = "") -> str:
     inner = indent + "  "
     sep = ",\n" + inner
     if t is dict and v and all(type(k) is str for k in v):
-        body = sep.join([f"{encode_basestring(k)}: {_json(x, inner)}" for k, x in v.items()])
+        # str values and finite float items, the bulk of a report, skip the recursive call
+        body = sep.join([f"{encode_basestring(k)}: "
+                         f"{encode_basestring(x) if type(x) is str else _json(x, inner)}"
+                         for k, x in v.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
     if t is list and v:
-        return f"[\n{inner}{sep.join([_json(x, inner) for x in v])}\n{indent}]"
+        items = [repr(x) if type(x) is float and math.isfinite(x) else _json(x, inner) for x in v]
+        return f"[\n{inner}{sep.join(items)}\n{indent}]"
     # JSON text holds no raw newline, so re-indenting its lines is exact
     return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
 

@@ -141,8 +141,20 @@ def geometric_mean(values: Sequence[float]) -> float:
 
 
 def _geometric_mean(vals: tuple[float, ...]) -> float:
-    """`geometric_mean` of a non-empty tuple of floats, which it neither copies nor checks."""
-    lo = min(vals)
+    """`geometric_mean` of a non-empty tuple of floats, which it neither copies nor checks.
+    It scans `vals` for one clamp bound only when the mean lies beyond both end values."""
+    try:
+        g = math.exp(math.fsum(map(math.log, vals)) / len(vals))
+    except ValueError:  # log of a zero or negative factor
+        g = math.nan
+    a, b = vals[0], vals[-1]
+    if a <= g <= b or b <= g <= a:
+        return g
+    if g < a and g < b:
+        return max(g, min(vals))
+    if g > a and g > b:
+        return min(g, max(vals))
+    lo = min(vals)  # only a zero, negative or NaN factor gets here
     if lo <= 0:
         if lo < 0:
             first = next(v for v in vals if v < 0)
@@ -158,7 +170,7 @@ def aggregate_min_geo_max(opinions: Iterable[TFN]) -> TFN:
     if not ops:
         raise ValidationError("cannot aggregate an empty panel")
     ls, ms, us = zip(*ops)
-    return TFN(min(ls), geometric_mean(ms), max(us))
+    return TFN(min(ls), _geometric_mean(ms), max(us))
 
 
 def centroid_defuzzify(t: TFN) -> float:

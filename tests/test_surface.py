@@ -1,6 +1,7 @@
 """The public surface: the pinned `fdahp.__all__`, every name the benchmark imports,
 no definition that only a test names, `build_matrix` as the one maker of a
-`PairwiseMatrix`, and one short traced run of the benchmark harness."""
+`PairwiseMatrix`, one geometric-mean kernel, and one short traced run of the
+benchmark harness."""
 import ast
 import importlib
 import json
@@ -141,6 +142,22 @@ def test_one_helper_prefixes_a_location():
         "io.read_matrix_json",  # "{path} cells[k]": formatted only on failure, per record
         "io.read_ratings_json",  # "{path} ratings[k]": the same
     ]
+
+
+def test_one_geometric_mean_kernel():
+    # tests/test_tfn.py holds tfn._geometric_mean to a bitwise reference; a second
+    # log/exp kernel, or a memo of log values beside it, would escape that test
+    sites = {
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in PACKAGE.glob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("log", "exp")
+        and getattr(node.value, "id", "") == "math"
+        or isinstance(node, ast.ImportFrom) and node.module == "math"
+        and any(alias.name in ("log", "exp") for alias in node.names)
+    }
+    assert sites == {"tfn._geometric_mean"}
 
 
 def test_traced_benchmark_run_is_correct_and_reports_every_layer():

@@ -7,11 +7,14 @@ functions under test.
 import copy
 import math
 import pickle
+import sys
 from decimal import Decimal
 from fractions import Fraction
 
 import numpy as np
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from fdahp import (
     TFN,
@@ -190,6 +193,58 @@ class TestGeometricMean:
         shuffled = list(vals)
         rng.shuffle(shuffled)
         assert geometric_mean(vals) == geometric_mean(shuffled)
+
+
+def _reference_geometric_mean(values):
+    """The kernel that always scans for both clamp bounds: the bitwise reference."""
+    vals = tuple(map(float, values))
+    if not vals:
+        raise ValidationError("geometric mean of an empty sequence")
+    lo = min(vals)
+    if lo <= 0:
+        if lo < 0:
+            first = next(v for v in vals if v < 0)
+            raise ValidationError(f"geometric mean requires nonnegative values, got {first}")
+        return vals[0] if len(vals) == 1 else 0.0
+    g = math.exp(math.fsum(map(math.log, vals)) / len(vals))
+    return min(max(g, lo), max(vals))
+
+
+def _outcome(kernel, values):
+    """The result's bits (so -0.0 and NaN compare exactly), or the exception raised."""
+    try:
+        return float.hex(kernel(values))
+    except (ValidationError, ValueError, OverflowError) as exc:
+        return type(exc), str(exc)
+
+
+@st.composite
+def _near_equal(draw):
+    base = draw(st.floats(min_value=5e-324, max_value=sys.float_info.max))
+    steps = draw(st.lists(st.integers(-3, 3), min_size=1, max_size=6))
+    return [base + k * math.ulp(base) for k in steps]
+
+
+@settings(derandomize=True, max_examples=500, deadline=None)
+@given(st.one_of(
+    st.lists(st.floats(), max_size=6),  # NaN, ±inf, ±0.0, subnormals, negatives
+    st.lists(st.floats(min_value=0.0), min_size=1, max_size=6),
+    st.lists(st.floats(min_value=0.1, max_value=9.0), min_size=1, max_size=12),
+    _near_equal(),
+))
+@example([0.1, 0.1, 0.1])  # exp/log rounding lands above 0.1: the clamp bites
+@example([1.0, 100.0, 1.0])  # the mean is above both ends
+@example([100.0, 1.0, 100.0])  # the mean is below both ends
+@example([3.7])
+@example([-0.0])
+@example([2.0, -1.0])
+@example([0.0, 5.0])
+@example([float("nan"), 1.0])
+@example([float("nan"), -1.0])
+@example([1.0, float("inf")])
+@example([sys.float_info.max] * 2)
+def test_geometric_mean_matches_reference_bitwise(values):
+    assert _outcome(geometric_mean, values) == _outcome(_reference_geometric_mean, values)
 
 
 class TestAggregate:
