@@ -97,37 +97,35 @@ def get_scale(name: str) -> LinguisticScale:
         ) from None
 
 
-class RatingPanel:
-    """Complete barriers x experts grid of TFN opinions.
+class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings")):
+    """Complete barriers x experts grid of TFN opinions; `rows` maps each barrier id,
+    in barrier order, to its opinions in expert order.
 
-    Validation runs at construction, which also keeps each barrier's row for `row`:
-    structural problems (missing cells, duplicate ids, negative components) always
+    Construction validates: missing cells, duplicate ids and negative components always
     raise; unordered cells raise in strict mode and are warnings in lenient mode.
-    """
+    `_replace` validates nothing."""
 
-    def __init__(
-        self,
+    __slots__ = ()
+
+    def __new__(
+        cls,
         barriers: Sequence[Barrier | str],
         experts: Sequence[str],
-        ratings: dict[tuple[str, str], TriangularFuzzyNumber],
+        ratings: Mapping[tuple[str, str], TriangularFuzzyNumber],
         mode: ValidationMode = ValidationMode.STRICT,
-    ) -> None:
-        self.barriers = _as_barriers(barriers)
-        self.experts = tuple(str(e) for e in experts)
-        self.ratings = ratings
-        self.mode = mode
-        self.warnings: list[ValidationWarning] = []
-        if not self.barriers:
+    ) -> "RatingPanel":
+        barriers = _as_barriers(barriers)
+        experts = tuple(str(e) for e in experts)
+        if not barriers:
             raise ValidationError("panel needs at least one barrier")
-        if not self.experts:
+        if not experts:
             raise ValidationError("panel needs at least one expert")
-        ids = [b.id for b in self.barriers]
+        ids = [b.id for b in barriers]
         if len(set(ids)) != len(ids):
             raise ValidationError("barrier ids must be unique")
-        if len(set(self.experts)) != len(self.experts):
+        if len(set(experts)) != len(experts):
             raise ValidationError("expert ids must be unique")
-        experts = self.experts
-        self._rows: dict[str, tuple[TriangularFuzzyNumber, ...]] = {}
+        rows, warnings = {}, []
         for bid in ids:
             row = []
             for eid in experts:
@@ -137,33 +135,36 @@ class RatingPanel:
                         raise ValidationError(f"panel is missing the rating for ({bid}, {eid})")
                     raise ValidationError(f"rating ({bid}, {eid}) = {cell!r} is not a TFN")
                 l, m, u = cell
-                if not 0 <= l <= m <= u:
-                    self._check_cell(bid, eid, cell)
+                if not 0 <= l <= m <= u:  # a nonnegative cell that fails this is unordered
+                    loc, unordered = f"({bid}, {eid})", f"{cell} is not ordered l <= m <= u"
+                    if not cell.is_nonnegative:
+                        raise ValidationError(f"rating {loc} = {cell} has negative components")
+                    if mode is ValidationMode.STRICT:
+                        raise ValidationError(f"rating {loc} = {unordered}")
+                    warnings.append(ValidationWarning("non_monotone", loc, f"rating {unordered}"))
                 row.append(cell)
-            self._rows[bid] = tuple(row)
+            rows[bid] = tuple(row)
         # every expected cell is present, so any other key makes the dict larger
         if len(ratings) != len(ids) * len(experts):
             extra = set(ratings) - {(b, e) for b in ids for e in experts}
             raise ValidationError(f"panel has ratings for unknown cells: {sorted(extra)}")
+        return tuple.__new__(cls, (barriers, experts, rows, mode, tuple(warnings)))
 
-    def _check_cell(self, bid: str, eid: str, cell: TriangularFuzzyNumber) -> None:
-        if not cell.is_nonnegative:
-            raise ValidationError(f"rating ({bid}, {eid}) = {cell} has negative components")
-        if not cell.is_monotone:
-            loc = f"({bid}, {eid})"
-            if self.mode is ValidationMode.STRICT:
-                raise ValidationError(f"rating {loc} = {cell} is not ordered l <= m <= u")
-            self.warnings.append(
-                ValidationWarning("non_monotone", loc, f"rating {cell} is not ordered l <= m <= u")
-            )
+    def __getnewargs__(self):  # copy and pickle rebuild through __new__
+        return self.barriers, self.experts, self.ratings, self.mode
+
+    @property
+    def ratings(self) -> dict[tuple[str, str], TriangularFuzzyNumber]:
+        """Each opinion keyed by (barrier id, expert id), in barrier then expert order."""
+        return {(bid, e): t for bid, row in self.rows.items() for e, t in zip(self.experts, row)}
 
     @property
     def barrier_ids(self) -> list[str]:
-        return [b.id for b in self.barriers]
+        return list(self.rows)
 
     def row(self, barrier_id: str) -> tuple[TriangularFuzzyNumber, ...]:
         """All opinions for one barrier, in expert order."""
-        return self._rows[barrier_id]
+        return self.rows[barrier_id]
 
 
 class ThresholdStrategy(namedtuple("ThresholdStrategy", "kind value")):
@@ -243,7 +244,7 @@ class ScreeningResult(NamedTuple):
 
 def aggregate_panel(panel: RatingPanel) -> dict[str, TriangularFuzzyNumber]:
     """Min/geomean/max aggregate per barrier, keyed by id in barrier order."""
-    return {bid: aggregate_min_geo_max(panel.row(bid)) for bid in panel.barrier_ids}
+    return {bid: aggregate_min_geo_max(row) for bid, row in panel.rows.items()}
 
 
 def score_barriers(aggregates: Mapping[str, TriangularFuzzyNumber]) -> dict[str, float]:
@@ -284,4 +285,4 @@ def screen(
         BarrierScreening(b, aggregates[b.id], scores[b.id], scores[b.id] >= threshold)
         for b in panel.barriers
     ]
-    return ScreeningResult(rows, threshold, strategy, list(panel.warnings))
+    return ScreeningResult(rows, threshold, strategy, panel.warnings)

@@ -311,9 +311,8 @@ def write_ratings_csv(panel: RatingPanel, path: str | Path) -> None:
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
         w.writerow(RATINGS_TFN_HEADER)
-        for bid in panel.barrier_ids:
-            for eid, t in zip(panel.experts, panel.row(bid)):
-                w.writerow([bid, eid, repr(t.l), repr(t.m), repr(t.u)])
+        for (bid, eid), t in panel.ratings.items():
+            w.writerow([bid, eid, repr(t.l), repr(t.m), repr(t.u)])
 
 
 def write_ratings_json(panel: RatingPanel, path: str | Path) -> None:
@@ -323,8 +322,7 @@ def write_ratings_json(panel: RatingPanel, path: str | Path) -> None:
         "experts": list(panel.experts),
         "ratings": [
             {"barrier_id": bid, "expert_id": eid, "tfn": list(t)}
-            for bid in panel.barrier_ids
-            for eid, t in zip(panel.experts, panel.row(bid))
+            for (bid, eid), t in panel.ratings.items()
         ],
     }
     with open(path, "w", encoding="utf-8") as f:

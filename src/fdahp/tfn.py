@@ -128,7 +128,7 @@ def _fsum(values: Iterable[float], overflow: str) -> float:
 
 
 def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of nonnegative reals, zero if any factor is zero.
+    """Geometric mean of finite nonnegative reals, zero if any factor is zero.
 
     Computed through the mean of logarithms; math.fsum makes the result
     independent of input order bit-for-bit. The result is clamped to
@@ -137,6 +137,9 @@ def geometric_mean(values: Sequence[float]) -> float:
     vals = tuple(map(float, values))
     if not vals:
         raise ValidationError("geometric mean of an empty sequence")
+    for v in vals:
+        if not math.isfinite(v):
+            raise ValidationError(f"geometric mean requires finite values, got {v}")
     return _geometric_mean(vals)
 
 

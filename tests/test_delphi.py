@@ -1,4 +1,5 @@
 """Screening stage: scale encoding, aggregation, thresholding, decisions."""
+import copy
 import math
 import pickle
 
@@ -167,6 +168,66 @@ class TestRecords:
         with pytest.raises(ValidationError, match="unordered"):
             LinguisticScale("bad", {1: TFN(2, 1, 3)})
         assert pickle.loads(pickle.dumps(DELPHI_10)) == DELPHI_10
+
+
+class TestPanelRecord:
+    """A panel is a named tuple that holds its opinions once, as `rows`."""
+
+    ROWS = {"A": [TFN(1, 2, 3), TFN(3, 2, 4)], "B": [TFN(4, 5, 6), TFN(0, 0, 1)]}
+
+    def test_fields_and_derived_ratings(self):
+        grid = {("B", "E2"): TFN(0, 0, 1), ("A", "E1"): TFN(1, 2, 3),
+                ("B", "E1"): TFN(4, 5, 6), ("A", "E2"): TFN(2, 3, 4)}
+        panel = RatingPanel(["A", "B"], ["E1", "E2"], grid)
+        assert isinstance(panel, tuple) and panel._fields == (
+            "barriers", "experts", "rows", "mode", "warnings")
+        assert panel.rows == {"A": (TFN(1, 2, 3), TFN(2, 3, 4)), "B": (TFN(4, 5, 6), TFN(0, 0, 1))}
+        assert list(panel.rows) == panel.barrier_ids == ["A", "B"]
+        # barrier then expert order, whatever the order of the input dict
+        assert list(panel.ratings) == [("A", "E1"), ("A", "E2"), ("B", "E1"), ("B", "E2")]
+        assert panel.ratings == grid
+
+    def test_mutating_the_input_dict_changes_nothing(self):
+        grid = {(b, f"E{k + 1}"): t for b, row in self.ROWS.items() for k, t in enumerate(row)}
+        panel = RatingPanel(["A", "B"], ["E1", "E2"], grid, ValidationMode.LENIENT)
+        before = screen(panel)
+        grid[("A", "E1")] = TFN(7, 8, 9)
+        grid[("B", "E9")] = TFN(1, 1, 1)
+        assert panel.ratings[("A", "E1")] == TFN(1, 2, 3)
+        assert ("B", "E9") not in panel.ratings
+        assert panel.row("A") == (TFN(1, 2, 3), TFN(3, 2, 4))
+        assert screen(panel) == before
+
+    def test_warnings_are_a_tuple(self):
+        panel = make_panel(self.ROWS, mode=ValidationMode.LENIENT)
+        assert type(panel.warnings) is tuple and len(panel.warnings) == 1
+        assert screen(panel).warnings == panel.warnings
+
+    def test_equal_inputs_give_equal_panels(self, study):
+        p = study.delphi_panel
+        assert RatingPanel(p.barriers, p.experts, p.ratings) == p
+        lenient = ValidationMode.LENIENT
+        assert make_panel(self.ROWS, mode=lenient) == make_panel(self.ROWS, mode=lenient)
+        changed = {**self.ROWS, "B": [TFN(4, 5, 6), TFN(0, 0, 2)]}
+        assert make_panel(self.ROWS, mode=lenient) != make_panel(changed, mode=lenient)
+
+    def test_deepcopy_and_pickle_round_trip(self, study):
+        assert copy.deepcopy(study) == study
+        lenient = make_panel(self.ROWS, mode=ValidationMode.LENIENT)
+        for panel in (study.delphi_panel, lenient):
+            assert copy.copy(panel) == panel
+            for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+                back = pickle.loads(pickle.dumps(panel, protocol))
+                assert type(back) is RatingPanel and back == panel
+
+    def test_replace_does_not_validate(self, study):
+        # dropping one expert's column is the same rows less one entry each
+        panel = study.delphi_panel
+        rest = panel.experts[1:]
+        dropped = panel._replace(experts=rest, rows={b: r[1:] for b, r in panel.rows.items()})
+        assert dropped == RatingPanel(panel.barriers, rest, {
+            (b, e): t for (b, e), t in panel.ratings.items() if e != panel.experts[0]})
+        assert panel._replace(rows={}).rows == {}
 
 
 class TestAggregateAndScore:

@@ -1,8 +1,9 @@
-"""The public surface: the pinned `fdahp.__all__`, every name the benchmark imports,
-no definition that only a test names, `build_matrix` as the one maker of a
-`PairwiseMatrix`, one geometric-mean kernel, and one short traced run of the
-benchmark harness."""
+"""The public surface: the pinned `fdahp.__all__`, every public class a tuple, an
+exception or an enum, every name the benchmark imports, no definition that only a
+test names, `build_matrix` as the one maker of a `PairwiseMatrix`, one
+geometric-mean kernel, and one short traced run of the benchmark harness."""
 import ast
+import enum
 import importlib
 import json
 import subprocess
@@ -40,6 +41,15 @@ def test_all_is_the_pinned_surface():
     assert len(fdahp.__all__) == len(PUBLIC)
     for name in fdahp.__all__:
         assert hasattr(fdahp, name), name
+
+
+def test_every_public_class_is_a_tuple_an_exception_or_an_enum():
+    # records are (named) tuples: values that compare, copy and pickle by content
+    classes = {name: getattr(fdahp, name) for name in fdahp.__all__
+               if isinstance(getattr(fdahp, name), type)}
+    assert "RatingPanel" in classes and len(classes) >= 15
+    assert [name for name, cls in classes.items()
+            if not issubclass(cls, (tuple, Exception, enum.Enum))] == []
 
 
 def test_every_fdahp_name_the_benchmark_imports_resolves():
