@@ -9,6 +9,8 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
+from itertools import product
+from operator import eq
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -102,8 +104,10 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
     in barrier order, to its opinions in expert order.
 
     Construction validates: missing cells, duplicate ids and negative components always
-    raise; unordered cells raise in strict mode and are warnings in lenient mode.
-    `_replace` validates nothing."""
+    raise; unordered cells raise in strict mode and are warnings in lenient mode. A mode
+    string is parsed. Ratings keyed barrier by barrier, in barrier then expert order, are
+    validated in bulk; any other order is checked cell by cell. `_replace` validates
+    nothing."""
 
     __slots__ = ()
 
@@ -114,6 +118,7 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
         ratings: Mapping[tuple[str, str], TriangularFuzzyNumber],
         mode: ValidationMode = ValidationMode.STRICT,
     ) -> "RatingPanel":
+        mode = ValidationMode.parse(mode)
         barriers = _as_barriers(barriers)
         experts = tuple(str(e) for e in experts)
         if not barriers:
@@ -125,6 +130,14 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
             raise ValidationError("barrier ids must be unique")
         if len(set(experts)) != len(experts):
             raise ValidationError("expert ids must be unique")
+        n = len(experts)
+        # a barrier-major grid needs no per-cell walk when every cell is exactly a TFN (so it
+        # hashes and unpacks as a tuple) and each distinct cell is ordered and nonnegative
+        if len(ratings) == len(ids) * n and all(map(eq, ratings, product(ids, experts))):
+            cells = tuple(ratings.values())
+            if {*map(type, cells)} == {TFN} and all(0 <= l <= m <= u for l, m, u in set(cells)):
+                rows = {bid: cells[k * n:k * n + n] for k, bid in enumerate(ids)}
+                return tuple.__new__(cls, (barriers, experts, rows, mode, ()))
         rows, warnings = {}, []
         for bid in ids:
             row = []

@@ -83,7 +83,9 @@ def build_matrix(
     order, unit diagonal and reciprocity are checked: strict mode raises at the first
     violation, lenient mode records each. A pair with a nonpositive component is
     reported as such; a forward cell whose reciprocal overflows raises in both modes.
+    A mode string is parsed.
     """
+    mode = ValidationMode.parse(mode)
     crits = _as_barriers(criteria)
     ids = [c.id for c in crits]
     index = {cid: k for k, cid in enumerate(ids)}

@@ -28,7 +28,7 @@ import csv
 import json
 from itertools import zip_longest
 from pathlib import Path
-from typing import Any, Iterator, Sequence, TextIO
+from typing import Any, Iterator, Sequence
 
 from .delphi import Barrier, LinguisticScale, RatingPanel, get_scale
 from .errors import ValidationError, _located
@@ -66,21 +66,21 @@ def load_json(path: str | Path, what: str) -> dict[str, Any]:
     return doc
 
 
-def _csv_rows(f: TextIO, path: Path) -> Iterator[tuple[int, list[str] | None]]:
-    """Yield (line, fields) for the header, then for each non-blank data row.
+def _csv_rows(reader: Any, path: Path) -> Iterator[list[str] | None]:
+    """Yield the header, then each non-blank data row, of a `csv.reader`.
 
     The header is yielded without its trailing empty fields (None for an
     empty file); the caller checks it before asking for rows. A data row that
     is short or has an empty field raises; so do non-empty fields beyond the
     header, while trailing empty ones are dropped. Rows are yielded
-    header-wide.
+    header-wide. This never reads ahead, so while the caller holds a row,
+    `reader.line_num` is the physical line on which that row ends.
     """
-    reader = csv.reader(f)
     try:
         header = next(reader, None)
         while header and not header[-1]:
             header.pop()
-        yield reader.line_num, header
+        yield header
         width = len(header)  # type: ignore[arg-type]
         for row in reader:
             if len(row) != width or "" in row:
@@ -98,7 +98,7 @@ def _csv_rows(f: TextIO, path: Path) -> Iterator[tuple[int, list[str] | None]]:
                         f"{path} line {line}: non-empty fields beyond the header: {row[width:]}"
                     )
                 row = row[:width]
-            yield reader.line_num, row
+            yield row
     except UnicodeDecodeError as exc:
         raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
     except csv.Error as exc:
@@ -114,11 +114,13 @@ def _parse_float(path: Path, line: int, fieldname: str, raw: str) -> float:
         ) from None
 
 
-def _parse_tfn_fields(path: Path, line: int, l: str, m: str, u: str) -> TriangularFuzzyNumber:
+def _parse_tfn_fields(path: Path, reader: Any, l: str, m: str, u: str) -> TriangularFuzzyNumber:
+    """The TFN of the l, m, u fields of the row `reader` last read; errors name its line."""
     try:
         return TFN(float(l), float(m), float(u))
     except ValueError:  # ValidationError included
         pass  # name the first bad field, in l, m, u order
+    line = reader.line_num
     values = [_parse_float(path, line, k, raw) for k, raw in zip("lmu", (l, m, u))]
     return _located(f"{path} line {line}", TFN, *values)
 
@@ -151,27 +153,31 @@ def read_ratings_csv(
     """Read a rating panel from CSV; the header picks the integer or triple path."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as f:
-        rows = _csv_rows(f, path)
-        _, header = next(rows)
+        rows = _csv_rows(reader := csv.reader(f), path)
+        header = next(rows)
         grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
         if header == RATINGS_INT_HEADER:
             if scale is None:
                 scale = get_scale("delphi-10")
             parsed: dict[str, TriangularFuzzyNumber] = {}  # raw text -> TFN; errors are never kept
-            for line, (bid, eid, raw) in rows:
+            for bid, eid, raw in rows:
                 key = (bid, eid)
                 if key in grid:
-                    raise ValidationError(f"{path} line {line}: duplicate rating for ({bid}, {eid})")
+                    raise ValidationError(
+                        f"{path} line {reader.line_num}: duplicate rating for ({bid}, {eid})"
+                    )
                 t = parsed.get(raw)
                 if t is None:
-                    t = parsed[raw] = _scale_rating(path, line, scale, raw)
+                    t = parsed[raw] = _scale_rating(path, reader.line_num, scale, raw)
                 grid[key] = t
         elif header == RATINGS_TFN_HEADER:
-            for line, (bid, eid, l, m, u) in rows:
+            for bid, eid, l, m, u in rows:
                 key = (bid, eid)
                 if key in grid:
-                    raise ValidationError(f"{path} line {line}: duplicate rating for ({bid}, {eid})")
-                grid[key] = _parse_tfn_fields(path, line, l, m, u)
+                    raise ValidationError(
+                        f"{path} line {reader.line_num}: duplicate rating for ({bid}, {eid})"
+                    )
+                grid[key] = _parse_tfn_fields(path, reader, l, m, u)
         else:
             raise ValidationError(
                 f"{path} line 1: unexpected ratings header {header or []}; "
@@ -260,14 +266,14 @@ def read_matrix_csv(
     """Read a pairwise matrix from CSV; criteria appear in first-seen order."""
     path = Path(path)
     with open(path, newline="", encoding="utf-8-sig") as f:
-        rows = _csv_rows(f, path)
-        _, header = next(rows)
+        rows = _csv_rows(reader := csv.reader(f), path)
+        header = next(rows)
         if header != MATRIX_HEADER:
             raise ValidationError(
                 f"{path} line 1: unexpected matrix header {header}; expected {MATRIX_HEADER}"
             )
-        entries = [(rid, cid, _parse_tfn_fields(path, line, l, m, u))
-                   for line, (rid, cid, l, m, u) in rows]
+        entries = [(rid, cid, _parse_tfn_fields(path, reader, l, m, u))
+                   for rid, cid, l, m, u in rows]
     if not entries:
         raise ValidationError(f"{path}: no matrix rows")
     criteria = dict.fromkeys(x for rid, cid, _ in entries for x in (rid, cid))

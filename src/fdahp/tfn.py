@@ -21,7 +21,10 @@ class ValidationMode(Enum):
     LENIENT = "lenient"
 
     @classmethod
-    def parse(cls, text: str) -> "ValidationMode":
+    def parse(cls, text: str | ValidationMode) -> "ValidationMode":
+        """The mode named by `text`, in any case; a mode is returned as it is."""
+        if isinstance(text, cls):
+            return text
         if not isinstance(text, str):
             raise ValidationError(f"validation mode must be a string, got {text!r}")
         try:
@@ -134,7 +137,12 @@ def geometric_mean(values: Sequence[float]) -> float:
     independent of input order bit-for-bit. The result is clamped to
     [min(values), max(values)] to absorb exp/log rounding at the boundary.
     """
-    vals = tuple(map(float, values))
+    try:
+        vals = tuple(map(float, values))
+    except OverflowError:
+        raise ValidationError(
+            "geometric mean requires finite values, got an integer too large for a float"
+        ) from None
     if not vals:
         raise ValidationError("geometric mean of an empty sequence")
     for v in vals:

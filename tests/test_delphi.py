@@ -130,6 +130,25 @@ class TestPanelValidation:
         with pytest.raises(ValidationError):
             ThresholdStrategy.parse(5.0)
 
+    def test_mode_string_is_parsed(self):
+        unordered = ["A"], ["E"], {("A", "E"): TFN(3, 2, 4)}
+        with pytest.raises(ValidationError) as exc:
+            RatingPanel(*unordered, "strict")
+        assert str(exc.value) == "rating (A, E) = (3, 2, 4) is not ordered l <= m <= u"
+        panel = RatingPanel(*unordered, "Lenient")
+        assert panel.mode is ValidationMode.LENIENT
+        assert [w.code for w in panel.warnings] == ["non_monotone"]
+        ordered = ["A"], ["E"], {("A", "E"): TFN(2, 3, 4)}
+        assert RatingPanel(*ordered, "strict").mode is ValidationMode.STRICT
+        with pytest.raises(ValidationError) as exc:
+            RatingPanel(*ordered, "bogus")
+        assert str(exc.value) == (
+            "unknown validation mode 'bogus'; expected 'strict' or 'lenient'"
+        )
+        with pytest.raises(ValidationError) as exc:
+            RatingPanel(*ordered, None)
+        assert str(exc.value) == "validation mode must be a string, got None"
+
 
 class TestRecords:
     """Records are named tuples; the validated ones re-validate on `_replace`."""

@@ -162,6 +162,25 @@ class TestBuildMatrix:
                 build_matrix(entries, ["A", "B", "A"])
             assert str(exc.value) == "criterion ids must be unique"
 
+    def test_mode_string_is_parsed(self):
+        unordered = [("A", "B", TFN(3, 2, 4))], ["A", "B"]
+        with pytest.raises(ValidationError) as exc:
+            build_matrix(*unordered, "strict")
+        assert str(exc.value) == "(A,B): cell (3, 2, 4) is not ordered l <= m <= u"
+        m = build_matrix(*unordered, "Lenient")
+        assert m == build_matrix(*unordered, ValidationMode.LENIENT)
+        assert [w.location for w in m.warnings] == ["(A,B)", "(B,A)"]
+        ordered = [("A", "B", TFN(2, 3, 4))], ["A", "B"]
+        assert build_matrix(*ordered, "strict").mode is ValidationMode.STRICT
+        with pytest.raises(ValidationError) as exc:
+            build_matrix(*ordered, "bogus")
+        assert str(exc.value) == (
+            "unknown validation mode 'bogus'; expected 'strict' or 'lenient'"
+        )
+        with pytest.raises(ValidationError) as exc:
+            build_matrix(*ordered, None)
+        assert str(exc.value) == "validation mode must be a string, got None"
+
     def test_incomplete_after_autofill(self):
         with pytest.raises(ValidationError, match="incomplete"):
             build_matrix([("A", "B", TFN(1, 2, 3))], ["A", "B", "C"])

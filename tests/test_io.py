@@ -178,6 +178,34 @@ class TestRatingsCsv:
             read_ratings(p)
 
 
+# Each file's second row holds a quoted field that spans two lines, so every later row
+# ends one physical line below its record number; errors name the physical line.
+_SPANNING = {
+    "int": 'barrier_id,expert_id,rating\nA,"E\n1",7\n',
+    "tfn": 'barrier_id,expert_id,l,m,u\nA,"E\n1",1,2,3\n',
+    "matrix": 'row_id,col_id,l,m,u\n"A\n",B,1,2,3\n',
+}
+
+
+@pytest.mark.parametrize(
+    "kind, rows, message",
+    [
+        ("int", "A,E2,5\nA,E2,6\n", "line 5: duplicate rating for (A, E2)"),
+        ("int", "A,E2,5\nA,E3,x\n", "line 5: field 'rating' is not an integer: 'x'"),
+        ("int", "A,E2,11\n", "line 4: rating 11 is not on scale 'delphi-10' (valid: 1..10)"),
+        ("tfn", "A,E2,1,2,3\nA,E2,1,2,3\n", "line 5: duplicate rating for (A, E2)"),
+        ("tfn", "A,E2,1,2,3\nA,E3,1,x,3\n", "line 5: field 'm' is not a number: 'x'"),
+        ("tfn", "A,E2,1,2,1e400\n", "line 4: TFN component u must be finite, got inf"),
+        ("matrix", "B,A,1,y,3\n", "line 4: field 'm' is not a number: 'y'"),
+    ],
+)
+def test_csv_errors_name_the_physical_line_after_a_multi_line_field(tmp_path, kind, rows, message):
+    p = write(tmp_path, "f.csv", _SPANNING[kind] + rows)
+    with pytest.raises(ValidationError) as exc:
+        (read_matrix if kind == "matrix" else read_ratings)(p)
+    assert str(exc.value) == f"{p} {message}"
+
+
 class TestRatingsJson:
     def test_mixed_rating_and_tfn(self, tmp_path):
         doc = {

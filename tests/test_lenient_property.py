@@ -4,8 +4,11 @@
 given sparse or dense, raise in lenient mode only where the documentation says
 both modes raise: an auto-fill source with a nonpositive component or an
 overflowing reciprocal, and a checked pair whose reciprocal overflows. Strict
-mode raises at the first problem that lenient mode records."""
+mode raises at the first problem that lenient mode records. In either mode,
+`RatingPanel` over any key order, with or without bad cells and keys, gives
+the rows, warnings or error of a check of one cell at a time."""
 import math
+import operator
 import sys
 
 import pytest
@@ -14,7 +17,8 @@ pytest.importorskip("hypothesis")
 from hypothesis import example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
-from fdahp import TFN, RatingPanel, ValidationError, ValidationMode, build_matrix  # noqa: E402
+from fdahp import (  # noqa: E402
+    TFN, RatingPanel, ValidationError, ValidationMode, ValidationWarning, build_matrix)
 
 LENIENT, STRICT = ValidationMode.LENIENT, ValidationMode.STRICT
 MAX = sys.float_info.max
@@ -133,14 +137,73 @@ def test_lenient_build_matrix_raises_only_where_documented(drawn):
         assert strict == got._replace(mode=STRICT)
 
 
+class _SubTFN(TFN):
+    __slots__ = ()
+
+
+# A grid of ordered cells, or of cells that may be unordered.
+GRIDS = st.sampled_from([_DRAWN.map(sorted).map(lambda t: TFN(*t)), CELLS])
+ORDERS = st.sampled_from(["barrier-major", "expert-major", "shuffled"])
+DEFECTS = st.sampled_from(["missing", "extra", "non-TFN", "subclass", "negative"])
+NEGATIVE = st.tuples(st.floats(-MAX, -5e-324), COMPONENTS, COMPONENTS).map(lambda t: TFN(*t))
+
+
 @st.composite
-def panels(draw):
-    """(barrier ids, expert ids, ratings) with every cell given, in a shuffled order."""
+def panels(draw, defects=False):
+    """(barrier ids, expert ids, ratings) with every cell given, keyed barrier by barrier,
+    expert by expert, or in a shuffled order. With `defects`, up to two of: a missing
+    cell, a key for an unknown cell, a non-TFN value, a TFN subclass, a negative cell."""
     bids = [f"B{k}" for k in range(draw(st.integers(1, 4)))]
     eids = [f"E{k}" for k in range(draw(st.integers(1, 4)))]
-    cells = [(b, e) for b in bids for e in eids]
-    ratings = dict(draw(st.permutations([(key, draw(CELLS)) for key in cells])))
-    return bids, eids, ratings
+    order, cells = draw(ORDERS), draw(GRIDS)
+    keys = [(b, e) for b in bids for e in eids]
+    if order == "expert-major":
+        keys = [(b, e) for e in eids for b in bids]
+    elif order == "shuffled":
+        keys = draw(st.permutations(keys))
+    items = [[key, draw(cells)] for key in keys]
+    for defect in draw(st.lists(DEFECTS, max_size=2)) if defects else ():
+        k = draw(st.integers(0, len(items) - 1))
+        if defect == "missing" and len(items) > 1:
+            del items[k]
+        elif defect == "extra":
+            b, e = draw(st.sampled_from(bids + ["X"])), draw(st.sampled_from(eids + ["Y"]))
+            items.insert(k, [(b, e) if b == "X" or e == "Y" else (b, "Y"), draw(cells)])
+        elif defect == "non-TFN":
+            items[k][1] = draw(st.sampled_from([tuple(draw(cells)), None, "5", 5]))
+        elif defect == "subclass":
+            items[k][1] = _SubTFN(*draw(cells))
+        elif defect == "negative":
+            items[k][1] = draw(NEGATIVE)
+    return bids, eids, dict(items)
+
+
+def _cell_walk(bids, eids, ratings, mode):
+    """(rows, warnings) of `RatingPanel`, from its check of one cell at a time, which runs
+    for every grid that the bulk check does not pass."""
+    rows, warnings = {}, []
+    for bid in bids:
+        row = []
+        for eid in eids:
+            cell = ratings.get((bid, eid))
+            if not isinstance(cell, TFN):
+                if cell is None:
+                    raise ValidationError(f"panel is missing the rating for ({bid}, {eid})")
+                raise ValidationError(f"rating ({bid}, {eid}) = {cell!r} is not a TFN")
+            l, m, u = cell
+            if not 0 <= l <= m <= u:
+                loc, unordered = f"({bid}, {eid})", f"{cell} is not ordered l <= m <= u"
+                if not cell.is_nonnegative:
+                    raise ValidationError(f"rating {loc} = {cell} has negative components")
+                if mode is STRICT:
+                    raise ValidationError(f"rating {loc} = {unordered}")
+                warnings.append(ValidationWarning("non_monotone", loc, f"rating {unordered}"))
+            row.append(cell)
+        rows[bid] = tuple(row)
+    if len(ratings) != len(bids) * len(eids):
+        extra = set(ratings) - {(b, e) for b in bids for e in eids}
+        raise ValidationError(f"panel has ratings for unknown cells: {sorted(extra)}")
+    return rows, tuple(warnings)
 
 
 @settings(derandomize=True, max_examples=150, deadline=None)
@@ -160,3 +223,27 @@ def test_lenient_panel_never_raises_on_order(drawn):
         assert panel.warnings[0].message == f"rating {ratings[b, e]} is not ordered l <= m <= u"
     else:
         assert strict == panel._replace(mode=STRICT)
+
+
+_ROW = {("A", "E1"): TFN(1, 2, 3), ("A", "E2"): TFN(2, 3, 4)}
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(panels(defects=True), st.sampled_from([STRICT, LENIENT]))
+@example((["A"], ["E1", "E2"], {**_ROW, ("A", "E2"): (2.0, 3.0, 4.0)}), STRICT)  # not a TFN
+@example((["A"], ["E1", "E2"], {**_ROW, ("A", "E2"): _SubTFN(2, 3, 4)}), STRICT)
+@example((["A"], ["E1", "E2"], {("A", "E1"): _ROW["A", "E1"], ("A", "E3"): TFN(2, 3, 4)}), STRICT)
+@example((["A", "B"], ["E1", "E2"], {("A", "E1"): TFN(1, 2, 3), ("B", "E1"): TFN(2, 3, 4),
+                                     ("A", "E2"): TFN(3, 4, 5), ("B", "E2"): TFN(4, 5, 6)}), STRICT)
+def test_panel_matches_the_cell_walk(drawn, mode):
+    bids, eids, ratings = drawn
+    try:
+        want = _cell_walk(bids, eids, ratings, mode)
+    except ValidationError as exc:
+        with pytest.raises(ValidationError) as got:
+            RatingPanel(bids, eids, ratings, mode)
+        assert type(got.value) is ValidationError and str(got.value) == str(exc)
+        return
+    panel = RatingPanel(bids, eids, ratings, mode)
+    assert (panel.rows, panel.warnings) == want and panel.mode is mode
+    assert all(map(operator.is_, sum(panel.rows.values(), ()), sum(want[0].values(), ())))

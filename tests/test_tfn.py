@@ -76,6 +76,7 @@ def test_tfn_has_no_tuple_concatenation_or_repetition():
 
 def test_validation_mode_parse():
     assert ValidationMode.parse("LENIENT") is ValidationMode.LENIENT
+    assert ValidationMode.parse(ValidationMode.STRICT) is ValidationMode.STRICT
     for bad, message in ((5, "must be a string, got 5"), ("loose", "unknown validation mode")):
         with pytest.raises(ValidationError, match=message):
             ValidationMode.parse(bad)
@@ -180,6 +181,14 @@ class TestGeometricMean:
     def test_negative_rejected(self):
         with pytest.raises(ValidationError):
             geometric_mean([2.0, -1.0])
+
+    def test_integer_too_large_for_a_float_rejected(self):
+        for vals in ([10**400], [2.0, -(10**400)]):
+            with pytest.raises(ValidationError) as exc:
+                geometric_mean(vals)
+            assert str(exc.value) == (
+                "geometric mean requires finite values, got an integer too large for a float"
+            )
 
     def test_within_value_range(self):
         rng = np.random.default_rng(13)
