@@ -144,7 +144,7 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
             for eid in experts:
                 cell = ratings.get((bid, eid))
                 if not isinstance(cell, TriangularFuzzyNumber):
-                    if cell is None:
+                    if (bid, eid) not in ratings:
                         raise ValidationError(f"panel is missing the rating for ({bid}, {eid})")
                     raise ValidationError(f"rating ({bid}, {eid}) = {cell!r} is not a TFN")
                 l, m, u = cell

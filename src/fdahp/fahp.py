@@ -10,7 +10,7 @@ import math
 from typing import Iterable, NamedTuple, Sequence
 
 from .delphi import Barrier, _as_barriers
-from .errors import ValidationError, _located
+from .errors import ValidationError, _located, _nogc
 from .tfn import (
     TFN,
     UNIT_TFN,
@@ -69,6 +69,7 @@ def validate_cells(
     return build_matrix(entries, criteria, mode).warnings
 
 
+@_nogc
 def build_matrix(
     entries: Iterable[tuple[str, str, TriangularFuzzyNumber]],
     criteria: Sequence[Barrier | str],

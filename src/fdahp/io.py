@@ -31,7 +31,7 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .delphi import Barrier, LinguisticScale, RatingPanel, get_scale
-from .errors import ValidationError, _located
+from .errors import ValidationError, _located, _nogc
 from .fahp import PairwiseMatrix, build_matrix
 from .tfn import TFN, TriangularFuzzyNumber, ValidationMode
 
@@ -145,6 +145,7 @@ def _json_tfn(t) -> TriangularFuzzyNumber:
         raise ValidationError("tfn must be a numeric [l, m, u] triple") from None
 
 
+@_nogc
 def read_ratings_csv(
     path: str | Path,
     scale: LinguisticScale | None = None,
@@ -215,6 +216,7 @@ def _json_list(path: Path, doc: dict[str, Any], key: str) -> list:
     return items
 
 
+@_nogc
 def read_ratings_json(
     path: str | Path,
     scale: LinguisticScale | None = None,
@@ -260,6 +262,7 @@ def read_ratings(
     return read_ratings_json(path, scale, mode)
 
 
+@_nogc
 def read_matrix_csv(
     path: str | Path, mode: ValidationMode = ValidationMode.STRICT
 ) -> PairwiseMatrix:
@@ -280,6 +283,7 @@ def read_matrix_csv(
     return _located(path, build_matrix, entries, list(criteria), mode)
 
 
+@_nogc
 def read_matrix_json(
     path: str | Path, mode: ValidationMode | None = None
 ) -> PairwiseMatrix:

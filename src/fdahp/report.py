@@ -88,8 +88,8 @@ def serialize_warnings(
 
 
 def _json(v: Any, indent: str = "") -> str:
-    """`json.dumps(v, indent=2, ensure_ascii=False)` for `v` nested at `indent`; empty
-    containers, bools, non-finite floats and other rare values go to `json.dumps`."""
+    """`json.dumps(v, indent=2, ensure_ascii=False)` for `v` nested at `indent`; bools,
+    non-finite floats and other rare values go to `json.dumps`."""
     t = type(v)
     if t is str:
         return encode_basestring(v)
@@ -97,15 +97,17 @@ def _json(v: Any, indent: str = "") -> str:
         return repr(v)
     if v is None:
         return "null"
+    if t in (list, tuple, dict) and not v:  # indented json.dumps leaves cyclic garbage
+        return "{}" if t is dict else "[]"
     inner = indent + "  "
     sep = ",\n" + inner
-    if t is dict and v and all(type(k) is str for k in v):
+    if t is dict and all(type(k) is str for k in v):
         # str values and finite float items, the bulk of a report, skip the recursive call
         body = sep.join([f"{encode_basestring(k)}: "
                          f"{encode_basestring(x) if type(x) is str else _json(x, inner)}"
                          for k, x in v.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
-    if t is list and v:
+    if t is list:
         items = [repr(x) if type(x) is float and math.isfinite(x) else _json(x, inner) for x in v]
         return f"[\n{inner}{sep.join(items)}\n{indent}]"
     # JSON text holds no raw newline, so re-indenting its lines is exact

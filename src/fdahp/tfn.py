@@ -131,14 +131,19 @@ def _fsum(values: Iterable[float], overflow: str) -> float:
 
 
 def geometric_mean(values: Sequence[float]) -> float:
-    """Geometric mean of finite nonnegative reals, zero if any factor is zero.
+    """Geometric mean of finite nonnegative ints and floats, zero if any factor is zero.
 
-    Computed through the mean of logarithms; math.fsum makes the result
-    independent of input order bit-for-bit. The result is clamped to
-    [min(values), max(values)] to absorb exp/log rounding at the boundary.
+    Computed through the mean of logarithms; math.fsum makes the result independent of
+    input order bit-for-bit. The result is clamped to [min(values), max(values)] to absorb
+    exp/log rounding at the boundary. A bool or other type raises, as for a `TFN` component.
     """
+    vals = tuple(values)
+    if not {*map(type, vals)} <= {float, int}:  # a bool, another type, or a subclass
+        for v in vals:
+            if isinstance(v, bool) or not isinstance(v, (int, float)):
+                raise ValidationError(f"geometric mean requires real numbers, got {v!r}")
     try:
-        vals = tuple(map(float, values))
+        vals = tuple(map(float, vals))
     except OverflowError:
         raise ValidationError(
             "geometric mean requires finite values, got an integer too large for a float"

@@ -1,5 +1,9 @@
 """Shared test helpers: random-input generators for property checks, a matrix from a
-dense grid, cell lookup by id, and an in-process CLI runner."""
+dense grid, cell lookup by id, an in-process CLI runner and a garbage-collector pass
+counter."""
+import gc
+import inspect
+import sys
 from contextlib import redirect_stderr, redirect_stdout
 from io import StringIO
 
@@ -60,3 +64,25 @@ def run_cli(argv):
     with redirect_stdout(out), redirect_stderr(err):
         code = main(list(argv))
     return code, out.getvalue(), err.getvalue()
+
+
+def collections_inside(func, *args):
+    """`func(*args)` and the number of garbage-collector passes started while `func`'s
+    own frame was on the stack; a pass the caller's code starts is not counted."""
+    code = inspect.unwrap(func).__code__
+    started = []
+
+    def count(phase, info):
+        if phase == "start":
+            frame = sys._getframe()
+            while frame is not None and frame.f_code is not code:
+                frame = frame.f_back
+            if frame is not None:
+                started.append(info["generation"])
+
+    gc.callbacks.append(count)
+    try:
+        result = func(*args)
+    finally:
+        gc.callbacks.remove(count)
+    return result, len(started)

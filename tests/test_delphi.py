@@ -77,10 +77,11 @@ class TestScale:
 
 class TestPanelValidation:
     def test_missing_cell(self):
-        with pytest.raises(ValidationError, match=r"\(A, E2\)"):
+        with pytest.raises(ValidationError) as exc:
             RatingPanel(
                 (Barrier("A"),), ("E1", "E2"), {("A", "E1"): TFN(1, 2, 3)}
             )
+        assert str(exc.value) == "panel is missing the rating for (A, E2)"
 
     def test_needs_barriers_and_experts(self):
         with pytest.raises(ValidationError):
@@ -101,11 +102,12 @@ class TestPanelValidation:
         assert panel.warnings[0].code == "non_monotone"
 
     def test_non_tfn_cell_named(self):
-        for cell in [(1.0, 2.0, 3.0), "5", 5]:
-            with pytest.raises(ValidationError, match=r"rating \(A, E2\) = .* is not a TFN"):
+        for cell in [(1.0, 2.0, 3.0), "5", 5, None]:
+            with pytest.raises(ValidationError) as exc:
                 RatingPanel(
                     (Barrier("A"),), ("E1", "E2"), {("A", "E1"): TFN(1, 2, 3), ("A", "E2"): cell}
                 )
+            assert str(exc.value) == f"rating (A, E2) = {cell!r} is not a TFN"
 
     def test_rating_for_unknown_cell(self):
         ratings = {("A", "E1"): TFN(1, 2, 3), ("A", "E9"): TFN(1, 2, 3)}

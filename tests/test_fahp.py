@@ -1,4 +1,6 @@
 """Ranking stage: matrix validation/building, geometric-mean weighting, ranks."""
+import gc
+
 import numpy as np
 import pytest
 
@@ -44,7 +46,8 @@ ORACLE_N = {
 }
 STUDY_ORDER = ["B10", "B9", "B7", "B5", "B3", "B2", "B4", "B1", "B8", "B6", "B11"]
 
-from helpers import cell, grid_matrix, random_reciprocal_matrix  # noqa: E402
+from fdahp.errors import _nogc  # noqa: E402
+from helpers import cell, collections_inside, grid_matrix, random_reciprocal_matrix  # noqa: E402
 
 
 class TestValidate:
@@ -384,3 +387,41 @@ class TestRunFahp:
         assert a.normalized == b.normalized
         assert a.ranks == b.ranks
         assert a.weights == b.weights
+
+
+IDS_150 = [f"C{i}" for i in range(150)]
+# distinct cells, so auto-fill makes one new mirror TFN per pair
+UPPER_150 = [(IDS_150[i], IDS_150[j], TFN(1 + i / 150 + j / 1e4, 2 + i / 150, 3 + j / 150))
+             for i in range(150) for j in range(i + 1, 150)]
+
+
+class TestCollectorPause:
+
+    def test_a_large_upper_triangle_starts_no_collection(self):
+        assert gc.isenabled()
+        m, passes = collections_inside(build_matrix, UPPER_150, IDS_150)
+        assert (m.size, passes) == (150, 0)
+        assert gc.isenabled()
+
+    def test_the_callers_state_is_kept_on_return_and_raise(self):
+        for enabled in (True, False):
+            if not enabled:
+                gc.disable()
+            try:
+                build_matrix(UPPER_150, IDS_150)
+                assert gc.isenabled() is enabled
+                with pytest.raises(ValidationError, match="duplicate entry"):
+                    build_matrix([*UPPER_150, UPPER_150[-1]], IDS_150)
+                assert gc.isenabled() is enabled
+            finally:
+                gc.enable()
+
+    def test_a_nested_call_leaves_the_collector_paused(self):
+        # read_matrix_csv and read_matrix_json call build_matrix with it paused
+        @_nogc
+        def reader():
+            build_matrix([("A", "B", TFN(1, 2, 3))], ["A", "B"])
+            return gc.isenabled()
+
+        assert reader() is False
+        assert gc.isenabled()

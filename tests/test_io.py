@@ -1,12 +1,22 @@
-"""CSV/JSON ingestion: schema detection, error naming, both rating paths."""
+"""CSV/JSON ingestion: schema detection, error naming, both rating paths, and the
+garbage-collector pause of each whole-file reader."""
+import gc
 import json
 
 import pytest
 
 from fdahp import TFN, ValidationError
-from fdahp.io import detect_format, read_matrix, read_ratings
+from fdahp.io import (
+    detect_format,
+    read_matrix,
+    read_matrix_csv,
+    read_matrix_json,
+    read_ratings,
+    read_ratings_csv,
+    read_ratings_json,
+)
 from fdahp.tfn import ValidationMode
-from helpers import cell
+from helpers import cell, collections_inside
 
 
 def write(tmp_path, name, text):
@@ -482,3 +492,57 @@ class TestMatrixFiles:
     def test_missing_file_is_oserror(self, tmp_path):
         with pytest.raises(OSError):
             read_matrix(tmp_path / "absent.csv")
+
+
+def _large_ratings_csv(tmp_path, last="5"):
+    """A 400 x 25 integer-path ratings CSV whose final rating reads `last`."""
+    rows = [f"B{b},E{e},{(b + e) % 10 + 1}" for b in range(400) for e in range(25)]
+    rows[-1] = f"B399,E24,{last}"
+    return write(tmp_path, "large.csv", "barrier_id,expert_id,rating\n" + "\n".join(rows) + "\n")
+
+
+_RATINGS_JSON = {"barriers": ["A"], "experts": ["E1"],
+                 "ratings": [{"barrier_id": "A", "expert_id": "E1", "rating": 5}]}
+_MATRIX_JSON = {"criteria": ["A", "B"], "cells": [{"row": "A", "col": "B", "tfn": [1, 2, 3]}]}
+# (reader, file name, a file it reads, a file it rejects); the bad matrix CSV raises
+# inside build_matrix, which the reader calls
+READERS = [
+    (read_ratings_csv, "r.csv", "barrier_id,expert_id,rating\nA,E1,5\n",
+     "barrier_id,expert_id,rating\nA,E1,x\n"),
+    (read_ratings_json, "r.json", json.dumps(_RATINGS_JSON),
+     json.dumps({**_RATINGS_JSON, "ratings": [{"barrier_id": "A", "expert_id": "E1",
+                                                "rating": 11}]})),
+    (read_matrix_csv, "m.csv", "row_id,col_id,l,m,u\nA,B,1,2,3\n",
+     "row_id,col_id,l,m,u\nA,B,1,2,3\nA,B,1,2,3\n"),
+    (read_matrix_json, "m.json", json.dumps(_MATRIX_JSON),
+     json.dumps({**_MATRIX_JSON, "cells": [{"row": "A", "col": "B", "tfn": [1, 2, "x"]}]})),
+]
+
+
+class TestCollectorPause:
+    def test_a_large_panel_starts_no_collection(self, tmp_path):
+        assert gc.isenabled()
+        panel, passes = collections_inside(read_ratings_csv, _large_ratings_csv(tmp_path))
+        assert (len(panel.barriers), len(panel.experts), passes) == (400, 25, 0)
+        assert gc.isenabled()
+
+    def test_collector_is_back_on_after_a_late_error(self, tmp_path):
+        p = _large_ratings_csv(tmp_path, last="x")
+        with pytest.raises(ValidationError) as exc:
+            read_ratings_csv(p)
+        assert str(exc.value) == f"{p} line 10001: field 'rating' is not an integer: 'x'"
+        assert gc.isenabled()
+
+    @pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
+    @pytest.mark.parametrize("reader, name, good, bad", READERS, ids=lambda x: getattr(x, "__name__", None))
+    def test_the_callers_state_is_kept(self, tmp_path, reader, name, good, bad, enabled):
+        if not enabled:
+            gc.disable()
+        try:
+            reader(write(tmp_path, name, good))
+            assert gc.isenabled() is enabled
+            with pytest.raises(ValidationError):
+                reader(write(tmp_path, name, bad))
+            assert gc.isenabled() is enabled
+        finally:
+            gc.enable()

@@ -187,7 +187,7 @@ def _cell_walk(bids, eids, ratings, mode):
         for eid in eids:
             cell = ratings.get((bid, eid))
             if not isinstance(cell, TFN):
-                if cell is None:
+                if (bid, eid) not in ratings:
                     raise ValidationError(f"panel is missing the rating for ({bid}, {eid})")
                 raise ValidationError(f"rating ({bid}, {eid}) = {cell!r} is not a TFN")
             l, m, u = cell
@@ -231,6 +231,7 @@ _ROW = {("A", "E1"): TFN(1, 2, 3), ("A", "E2"): TFN(2, 3, 4)}
 @settings(derandomize=True, max_examples=300, deadline=None)
 @given(panels(defects=True), st.sampled_from([STRICT, LENIENT]))
 @example((["A"], ["E1", "E2"], {**_ROW, ("A", "E2"): (2.0, 3.0, 4.0)}), STRICT)  # not a TFN
+@example((["A"], ["E1", "E2"], {**_ROW, ("A", "E2"): None}), STRICT)  # present, but not a TFN
 @example((["A"], ["E1", "E2"], {**_ROW, ("A", "E2"): _SubTFN(2, 3, 4)}), STRICT)
 @example((["A"], ["E1", "E2"], {("A", "E1"): _ROW["A", "E1"], ("A", "E3"): TFN(2, 3, 4)}), STRICT)
 @example((["A", "B"], ["E1", "E2"], {("A", "E1"): TFN(1, 2, 3), ("B", "E1"): TFN(2, 3, 4),

@@ -1,7 +1,8 @@
 """The public surface: the pinned `fdahp.__all__`, every public class a tuple, an
 exception or an enum, every name the benchmark imports, no definition that only a
 test names, `build_matrix` as the one maker of a `PairwiseMatrix`, one
-geometric-mean kernel, and one short traced run of the benchmark harness."""
+geometric-mean kernel, one garbage-collector pause, and one short traced run of the
+benchmark harness."""
 import ast
 import enum
 import importlib
@@ -168,6 +169,27 @@ def test_one_geometric_mean_kernel():
         and any(alias.name in ("log", "exp") for alias in node.names)
     }
     assert sites == {"tfn._geometric_mean"}
+
+
+def test_one_gc_pause():
+    # errors._nogc gives the collector back as the caller left it, on return and raise;
+    # a gc switch elsewhere could leave it off. Each paused function is reviewed here.
+    switches, paused = set(), set()
+    for path in PACKAGE.glob("*.py"):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            where = f"{path.stem}.{getattr(top, 'name', '<module>')}"
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and getattr(node.value, "id", "") == "gc"
+                        or isinstance(node, ast.ImportFrom) and node.module == "gc"):
+                    switches.add(where)
+                elif isinstance(node, ast.Name) and node.id == "_nogc":
+                    paused.add(where)
+    assert switches == {"errors._nogc"}
+    assert paused == {  # each turns a whole input into a panel or a matrix
+        "io.read_ratings_csv", "io.read_ratings_json",
+        "io.read_matrix_csv", "io.read_matrix_json",
+        "fahp.build_matrix",
+    }
 
 
 def test_traced_benchmark_run_is_correct_and_reports_every_layer():

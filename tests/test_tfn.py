@@ -190,6 +190,15 @@ class TestGeometricMean:
                 "geometric mean requires finite values, got an integer too large for a float"
             )
 
+    def test_accepts_and_rejects_values_as_a_tfn_component_does(self):
+        assert geometric_mean([4, 9.0, np.float64(6.0)]) == pytest.approx(6.0, rel=1e-15)
+        for bad in ("x", None, "7", b"7", True, 1j, [7.0]):
+            with pytest.raises(ValidationError) as exc:
+                geometric_mean([2.0, bad])
+            assert str(exc.value) == f"geometric mean requires real numbers, got {bad!r}"
+            with pytest.raises(ValidationError, match="must be a real number"):
+                TFN(bad, 3, 4)
+
     def test_within_value_range(self):
         rng = np.random.default_rng(13)
         for _ in range(300):
