@@ -15,15 +15,7 @@ from .dataset import load_paper_study, renumber_selected, sequential_renumber_ma
 from .delphi import ThresholdStrategy, get_scale, screen
 from .errors import DatasetError, ValidationError, _located
 from .fahp import run_fahp
-from .io import (
-    load_json,
-    read_matrix,
-    read_ratings,
-    write_matrix_csv,
-    write_matrix_json,
-    write_ratings_csv,
-    write_ratings_json,
-)
+from .io import load_json, read_matrix, read_ratings, write_matrix, write_ratings
 from .report import Report, file_digest
 from .tfn import ValidationMode
 from .verify import checks_passed, format_text, run_study_checks, to_json_dict
@@ -123,7 +115,7 @@ def _emit_report(
 def cmd_screen(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     scale = get_scale(args.scale) if args.scale is not None else None
-    panel = read_ratings(args.ratings, args.format, scale, ValidationMode.parse(args.mode))
+    panel = read_ratings(args.ratings, args.format, scale, args.mode)
     result = _located(args.ratings, screen, panel, ThresholdStrategy.parse(args.threshold))
     _info(args, f"screened {len(result.rows)} barriers: {len(result.selected_ids)} selected")
     return _emit_report(args, t0, {"ratings": args.ratings}, screening=result)
@@ -131,8 +123,7 @@ def cmd_screen(args: argparse.Namespace) -> int:
 
 def cmd_rank(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
-    mode = ValidationMode.parse(args.mode) if args.mode else None
-    matrix = read_matrix(args.matrix, args.format, mode)
+    matrix = read_matrix(args.matrix, args.format, args.mode)
     result = _located(args.matrix, run_fahp, matrix)
     _info(args, f"ranked {matrix.size} criteria; top is {result.rank_order[0]}")
     return _emit_report(args, t0, {"matrix": args.matrix}, ranking=result)
@@ -146,6 +137,10 @@ def _load_pipeline_config(path: str) -> dict:
             raise ValidationError(f"{path}: config needs {key}.path")
         if not isinstance(src["path"], str):
             raise ValidationError(f"{path}: {key}.path must be a string, got {src['path']!r}")
+        if src.get("format") not in (None, "csv", "json"):
+            raise ValidationError(
+                f"{path}: {key}.format must be 'csv' or 'json', got {src['format']!r}"
+            )
         if src["path"].startswith("derive:"):
             raise ValidationError(
                 f"{path}: {key}.path={src['path']!r} is not supported; a comparison "
@@ -222,16 +217,10 @@ def cmd_export(args: argparse.Namespace) -> int:
     study = load_paper_study()
     dest = Path(args.dest)
     dest.mkdir(parents=True, exist_ok=True)
-    if args.format == "csv":
-        ratings_path = dest / "delphi_ratings.csv"
-        matrix_path = dest / "fahp_matrix.csv"
-        write_ratings_csv(study.delphi_panel, ratings_path)
-        write_matrix_csv(study.fahp_matrix, matrix_path)
-    else:
-        ratings_path = dest / "delphi_ratings.json"
-        matrix_path = dest / "fahp_matrix.json"
-        write_ratings_json(study.delphi_panel, ratings_path)
-        write_matrix_json(study.fahp_matrix, matrix_path)
+    ratings_path = dest / f"delphi_ratings.{args.format}"
+    matrix_path = dest / f"fahp_matrix.{args.format}"
+    write_ratings(study.delphi_panel, ratings_path)
+    write_matrix(study.fahp_matrix, matrix_path)
     sys.stdout.write(f"{ratings_path}\n{matrix_path}\n")
     return EXIT_OK
 

@@ -40,7 +40,7 @@ class PairwiseMatrix(NamedTuple):
     criteria: tuple[Barrier, ...]
     cells: tuple[tuple[TriangularFuzzyNumber, ...], ...]
     mode: ValidationMode
-    warnings: list[ValidationWarning]
+    warnings: tuple[ValidationWarning, ...]
 
     @property
     def size(self) -> int:
@@ -63,7 +63,7 @@ def validate_cells(
     criteria: Sequence[Barrier],
     cells: Sequence[Sequence[TriangularFuzzyNumber]],
     mode: ValidationMode,
-) -> list[ValidationWarning]:
+) -> tuple[ValidationWarning, ...]:
     """The warnings of `build_matrix` over the n*n entries of `cells`."""
     entries = [(r.id, c.id, t) for r, row in zip(criteria, cells) for c, t in zip(criteria, row)]
     return build_matrix(entries, criteria, mode).warnings
@@ -196,7 +196,7 @@ def build_matrix(
                 % (bl, bm, bu, el, em, eu, fl, fm, fu,
                    "%.1f%%" % by if by < math.inf else "over 1e+308%", tol_text),
             )
-    return PairwiseMatrix(crits, cells, mode, warnings)
+    return PairwiseMatrix(crits, cells, mode, tuple(warnings))
 
 
 def row_geometric_means(m: PairwiseMatrix) -> list[TriangularFuzzyNumber]:
@@ -291,5 +291,5 @@ def run_fahp(m: PairwiseMatrix) -> RankingResult:
         crisp=m_vals,
         normalized=n_vals,
         ranks=ranks,
-        warnings=list(m.warnings),
+        warnings=m.warnings,
     )

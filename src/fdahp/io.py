@@ -1,5 +1,9 @@
 """File ingestion and export for rating panels and pairwise matrices.
 
+Each kind has one reader and one writer. Both take the format from `fmt`,
+"csv" or "json", or else from the file's extension (.csv or .json, in any
+case); any other `fmt` or extension raises.
+
 CSV schemas (UTF-8, one cell per row):
   ratings, integer path:  barrier_id,expert_id,rating
   ratings, triple path:   barrier_id,expert_id,l,m,u
@@ -41,9 +45,9 @@ MATRIX_HEADER = ["row_id", "col_id", "l", "m", "u"]
 
 
 def detect_format(path: str | Path, explicit: str | None = None) -> str:
-    if explicit:
+    if explicit is not None:
         if explicit not in ("csv", "json"):
-            raise ValidationError(f"unknown input format {explicit!r}")
+            raise ValidationError(f"unknown format {explicit!r}; expected 'csv' or 'json'")
         return explicit
     suffix = Path(path).suffix.lower()
     if suffix == ".csv":
@@ -145,53 +149,6 @@ def _json_tfn(t) -> TriangularFuzzyNumber:
         raise ValidationError("tfn must be a numeric [l, m, u] triple") from None
 
 
-@_nogc
-def read_ratings_csv(
-    path: str | Path,
-    scale: LinguisticScale | None = None,
-    mode: ValidationMode = ValidationMode.STRICT,
-) -> RatingPanel:
-    """Read a rating panel from CSV; the header picks the integer or triple path."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        rows = _csv_rows(reader := csv.reader(f), path)
-        header = next(rows)
-        grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
-        if header == RATINGS_INT_HEADER:
-            if scale is None:
-                scale = get_scale("delphi-10")
-            parsed: dict[str, TriangularFuzzyNumber] = {}  # raw text -> TFN; errors are never kept
-            for bid, eid, raw in rows:
-                key = (bid, eid)
-                if key in grid:
-                    raise ValidationError(
-                        f"{path} line {reader.line_num}: duplicate rating for ({bid}, {eid})"
-                    )
-                t = parsed.get(raw)
-                if t is None:
-                    t = parsed[raw] = _scale_rating(path, reader.line_num, scale, raw)
-                grid[key] = t
-        elif header == RATINGS_TFN_HEADER:
-            for bid, eid, l, m, u in rows:
-                key = (bid, eid)
-                if key in grid:
-                    raise ValidationError(
-                        f"{path} line {reader.line_num}: duplicate rating for ({bid}, {eid})"
-                    )
-                grid[key] = _parse_tfn_fields(path, reader, l, m, u)
-        else:
-            raise ValidationError(
-                f"{path} line 1: unexpected ratings header {header or []}; "
-                f"expected {RATINGS_INT_HEADER} or {RATINGS_TFN_HEADER}"
-            )
-    if not grid:
-        raise ValidationError(f"{path}: no rating rows")
-    # grid keys are in row order, so these keep each id's first-seen position
-    bids, eids = zip(*grid)
-    barriers, experts = dict.fromkeys(bids), dict.fromkeys(eids)
-    return _located(path, RatingPanel, tuple(map(Barrier, barriers)), tuple(experts), grid, mode)
-
-
 def _parse_barrier_list(where: str, items: Sequence[Any]) -> list[Barrier]:
     out = []
     for k, item in enumerate(items):
@@ -217,151 +174,158 @@ def _json_list(path: Path, doc: dict[str, Any], key: str) -> list:
 
 
 @_nogc
-def read_ratings_json(
-    path: str | Path,
-    scale: LinguisticScale | None = None,
-    mode: ValidationMode = ValidationMode.STRICT,
-) -> RatingPanel:
-    path = Path(path)
-    doc = load_json(path, "ratings file")
-    barriers = _parse_barrier_list(f"{path} barriers", _json_list(path, doc, "barriers"))
-    experts = [str(e) for e in _json_list(path, doc, "experts")]
-    entries = _json_list(path, doc, "ratings")
-    if scale is None:
-        scale = _located(path, get_scale, doc.get("scale", "delphi-10"))
-    grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
-    for k, rec in enumerate(entries):
-        try:
-            key = (str(rec["barrier_id"]), str(rec["expert_id"]))
-            if key in grid:
-                raise ValidationError(f"duplicate rating for {key}")
-            if "tfn" in rec:
-                grid[key] = _json_tfn(rec["tfn"])
-            elif "rating" in rec:
-                if type(rating := rec["rating"]) is not int:
-                    raise ValidationError(f"rating must be an integer, got {rating!r}")
-                grid[key] = scale.tfn(rating)
-            else:
-                raise ValidationError("needs either 'rating' or 'tfn'")
-        except (KeyError, TypeError):  # a missing id, or a record that is not an object
-            raise ValidationError(f"{path} ratings[{k}]: needs barrier_id and expert_id") from None
-        except ValidationError as exc:
-            raise ValidationError(f"{path} ratings[{k}]: {exc}") from None
-    return _located(path, RatingPanel, tuple(barriers), tuple(experts), grid, mode)
-
-
 def read_ratings(
     path: str | Path,
     fmt: str | None = None,
     scale: LinguisticScale | None = None,
     mode: ValidationMode = ValidationMode.STRICT,
 ) -> RatingPanel:
+    """Read a rating panel; a CSV header picks the integer or triple path."""
     fmt = detect_format(path, fmt)
+    path = Path(path)
+    grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
     if fmt == "csv":
-        return read_ratings_csv(path, scale, mode)
-    return read_ratings_json(path, scale, mode)
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            rows = _csv_rows(reader := csv.reader(f), path)
+            header = next(rows)
+            if header == RATINGS_INT_HEADER:
+                if scale is None:
+                    scale = get_scale("delphi-10")
+                parsed: dict[str, TriangularFuzzyNumber] = {}  # raw text -> TFN; no error is kept
+                for bid, eid, raw in rows:
+                    key = (bid, eid)
+                    if key in grid:
+                        raise ValidationError(
+                            f"{path} line {reader.line_num}: duplicate rating for ({bid}, {eid})"
+                        )
+                    t = parsed.get(raw)
+                    if t is None:
+                        t = parsed[raw] = _scale_rating(path, reader.line_num, scale, raw)
+                    grid[key] = t
+            elif header == RATINGS_TFN_HEADER:
+                for bid, eid, l, m, u in rows:
+                    key = (bid, eid)
+                    if key in grid:
+                        raise ValidationError(
+                            f"{path} line {reader.line_num}: duplicate rating for ({bid}, {eid})"
+                        )
+                    grid[key] = _parse_tfn_fields(path, reader, l, m, u)
+            else:
+                raise ValidationError(
+                    f"{path} line 1: unexpected ratings header {header or []}; "
+                    f"expected {RATINGS_INT_HEADER} or {RATINGS_TFN_HEADER}"
+                )
+        if not grid:
+            raise ValidationError(f"{path}: no rating rows")
+        # grid keys are in row order, so these keep each id's first-seen position
+        bids, eids = zip(*grid)
+        barriers, experts = map(Barrier, dict.fromkeys(bids)), dict.fromkeys(eids)
+    else:
+        doc = load_json(path, "ratings file")
+        barriers = _parse_barrier_list(f"{path} barriers", _json_list(path, doc, "barriers"))
+        experts = [str(e) for e in _json_list(path, doc, "experts")]
+        entries = _json_list(path, doc, "ratings")
+        if scale is None:
+            scale = _located(path, get_scale, doc.get("scale", "delphi-10"))
+        for k, rec in enumerate(entries):
+            try:
+                key = (str(rec["barrier_id"]), str(rec["expert_id"]))
+                if key in grid:
+                    raise ValidationError(f"duplicate rating for {key}")
+                if "tfn" in rec:
+                    grid[key] = _json_tfn(rec["tfn"])
+                elif "rating" in rec:
+                    if type(rating := rec["rating"]) is not int:
+                        raise ValidationError(f"rating must be an integer, got {rating!r}")
+                    grid[key] = scale.tfn(rating)
+                else:
+                    raise ValidationError("needs either 'rating' or 'tfn'")
+            except (KeyError, TypeError):  # a missing id, or a record that is not an object
+                raise ValidationError(f"{path} ratings[{k}]: needs barrier_id and expert_id") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path} ratings[{k}]: {exc}") from None
+    return _located(path, RatingPanel, tuple(barriers), tuple(experts), grid, mode)
 
 
 @_nogc
-def read_matrix_csv(
-    path: str | Path, mode: ValidationMode = ValidationMode.STRICT
-) -> PairwiseMatrix:
-    """Read a pairwise matrix from CSV; criteria appear in first-seen order."""
-    path = Path(path)
-    with open(path, newline="", encoding="utf-8-sig") as f:
-        rows = _csv_rows(reader := csv.reader(f), path)
-        header = next(rows)
-        if header != MATRIX_HEADER:
-            raise ValidationError(
-                f"{path} line 1: unexpected matrix header {header}; expected {MATRIX_HEADER}"
-            )
-        entries = [(rid, cid, _parse_tfn_fields(path, reader, l, m, u))
-                   for rid, cid, l, m, u in rows]
-    if not entries:
-        raise ValidationError(f"{path}: no matrix rows")
-    criteria = dict.fromkeys(x for rid, cid, _ in entries for x in (rid, cid))
-    return _located(path, build_matrix, entries, list(criteria), mode)
-
-
-@_nogc
-def read_matrix_json(
-    path: str | Path, mode: ValidationMode | None = None
-) -> PairwiseMatrix:
-    """Read a pairwise matrix from JSON; an explicit `mode` overrides the file's."""
-    path = Path(path)
-    doc = load_json(path, "matrix file")
-    criteria = _parse_barrier_list(f"{path} criteria", _json_list(path, doc, "criteria"))
-    cells = _json_list(path, doc, "cells")
-    if mode is None:
-        mode = _located(path, ValidationMode.parse, doc.get("mode", "strict"))
-    entries = []
-    for k, rec in enumerate(cells):
-        try:
-            entries.append((str(rec["row"]), str(rec["col"]), _json_tfn(rec["tfn"])))
-        except (KeyError, TypeError):  # a missing field, or a record that is not an object
-            raise ValidationError(f"{path} cells[{k}]: needs row, col, and tfn") from None
-        except ValidationError as exc:
-            raise ValidationError(f"{path} cells[{k}]: {exc}") from None
-    return _located(path, build_matrix, entries, criteria, mode)
-
-
 def read_matrix(
     path: str | Path, fmt: str | None = None, mode: ValidationMode | None = None
 ) -> PairwiseMatrix:
+    """Read a pairwise matrix; CSV criteria appear in first-seen order. An explicit
+    `mode` overrides a JSON file's own; a CSV file without one is strict."""
     fmt = detect_format(path, fmt)
+    path = Path(path)
     if fmt == "csv":
-        return read_matrix_csv(path, mode or ValidationMode.STRICT)
-    return read_matrix_json(path, mode)
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            rows = _csv_rows(reader := csv.reader(f), path)
+            header = next(rows)
+            if header != MATRIX_HEADER:
+                raise ValidationError(
+                    f"{path} line 1: unexpected matrix header {header}; expected {MATRIX_HEADER}"
+                )
+            entries = [(rid, cid, _parse_tfn_fields(path, reader, l, m, u))
+                       for rid, cid, l, m, u in rows]
+        if not entries:
+            raise ValidationError(f"{path}: no matrix rows")
+        criteria = list(dict.fromkeys(x for rid, cid, _ in entries for x in (rid, cid)))
+        mode = mode or ValidationMode.STRICT
+    else:
+        doc = load_json(path, "matrix file")
+        criteria = _parse_barrier_list(f"{path} criteria", _json_list(path, doc, "criteria"))
+        cells = _json_list(path, doc, "cells")
+        if mode is None:
+            mode = _located(path, ValidationMode.parse, doc.get("mode", "strict"))
+        entries = []
+        for k, rec in enumerate(cells):
+            try:
+                entries.append((str(rec["row"]), str(rec["col"]), _json_tfn(rec["tfn"])))
+            except (KeyError, TypeError):  # a missing field, or a record that is not an object
+                raise ValidationError(f"{path} cells[{k}]: needs row, col, and tfn") from None
+            except ValidationError as exc:
+                raise ValidationError(f"{path} cells[{k}]: {exc}") from None
+    return _located(path, build_matrix, entries, criteria, mode)
 
 
 # ---------------------------------------------------------------------------
 # writers (used by the dataset export capability and for templating studies)
 
-def write_ratings_csv(panel: RatingPanel, path: str | Path) -> None:
+def _write_csv(path: str | Path, header: list[str], cells) -> None:
+    """One row per ((a, b), tfn) of `cells`: a, b, then l, m, u at full precision."""
     with open(path, "w", newline="", encoding="utf-8") as f:
         w = csv.writer(f)
-        w.writerow(RATINGS_TFN_HEADER)
-        for (bid, eid), t in panel.ratings.items():
-            w.writerow([bid, eid, repr(t.l), repr(t.m), repr(t.u)])
+        w.writerow(header)
+        w.writerows([a, b, repr(t.l), repr(t.m), repr(t.u)] for (a, b), t in cells)
 
 
-def write_ratings_json(panel: RatingPanel, path: str | Path) -> None:
-    doc = {
-        "scale": "delphi-10",
-        "barriers": [{"id": b.id, "name": b.name} for b in panel.barriers],
-        "experts": list(panel.experts),
-        "ratings": [
-            {"barrier_id": bid, "expert_id": eid, "tfn": list(t)}
-            for (bid, eid), t in panel.ratings.items()
-        ],
-    }
+def _write_json(path: str | Path, doc: dict[str, Any]) -> None:
     with open(path, "w", encoding="utf-8") as f:
         json.dump(doc, f, indent=2)
         f.write("\n")
 
 
-def write_matrix_csv(matrix: PairwiseMatrix, path: str | Path) -> None:
-    ids = matrix.ids
-    with open(path, "w", newline="", encoding="utf-8") as f:
-        w = csv.writer(f)
-        w.writerow(MATRIX_HEADER)
-        for i, rid in enumerate(ids):
-            for j, cid in enumerate(ids):
-                t = matrix.cells[i][j]
-                w.writerow([rid, cid, repr(t.l), repr(t.m), repr(t.u)])
+def write_ratings(panel: RatingPanel, path: str | Path, fmt: str | None = None) -> None:
+    """Write `panel` with every rating as a triple: CSV on the triple path, or JSON."""
+    if detect_format(path, fmt) == "csv":
+        _write_csv(path, RATINGS_TFN_HEADER, panel.ratings.items())
+    else:
+        _write_json(path, {
+            "scale": "delphi-10",
+            "barriers": [{"id": b.id, "name": b.name} for b in panel.barriers],
+            "experts": list(panel.experts),
+            "ratings": [{"barrier_id": bid, "expert_id": eid, "tfn": list(t)}
+                        for (bid, eid), t in panel.ratings.items()],
+        })
 
 
-def write_matrix_json(matrix: PairwiseMatrix, path: str | Path) -> None:
+def write_matrix(matrix: PairwiseMatrix, path: str | Path, fmt: str | None = None) -> None:
+    """Write all n*n cells of `matrix`, row by row, as CSV or as JSON with its mode."""
     ids = matrix.ids
-    doc = {
-        "criteria": [{"id": c.id, "name": c.name} for c in matrix.criteria],
-        "mode": matrix.mode.value,
-        "cells": [
-            {"row": rid, "col": cid, "tfn": list(matrix.cells[i][j])}
-            for i, rid in enumerate(ids)
-            for j, cid in enumerate(ids)
-        ],
-    }
-    with open(path, "w", encoding="utf-8") as f:
-        json.dump(doc, f, indent=2)
-        f.write("\n")
+    cells = [((rid, cid), t) for rid, row in zip(ids, matrix.cells) for cid, t in zip(ids, row)]
+    if detect_format(path, fmt) == "csv":
+        _write_csv(path, MATRIX_HEADER, cells)
+    else:
+        _write_json(path, {
+            "criteria": [{"id": c.id, "name": c.name} for c in matrix.criteria],
+            "mode": matrix.mode.value,
+            "cells": [{"row": rid, "col": cid, "tfn": list(t)} for (rid, cid), t in cells],
+        })

@@ -393,6 +393,28 @@ class TestPipeline:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {cfg}: {key}.path must be a string, got {bad!r}")
 
+    STEMS = {"ratings": "delphi_ratings", "matrix": "fahp_matrix"}
+
+    @pytest.mark.parametrize("key", ["ratings", "matrix"])
+    @pytest.mark.parametrize("bad", ["", False, 0, [], "xml", "CSV"])
+    def test_bad_format_exits_2(self, capsys, tmp_path, exported, key, bad):
+        src = {"path": str(exported / f"{self.STEMS[key]}.csv"), "format": bad}
+        cfg = self.make_config(tmp_path, exported, **{key: src})
+        code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
+        assert (code, out) == (2, "")
+        assert err == f"error: {cfg}: {key}.format must be 'csv' or 'json', got {bad!r}\n"
+
+    @pytest.mark.parametrize("null", [True, False], ids=["null", "absent"])
+    def test_format_absent_or_null_goes_by_extension(self, capsys, tmp_path, exported, null):
+        sources = {key: {"path": str(exported / f"{stem}.json")} for key, stem in self.STEMS.items()}
+        if null:
+            for src in sources.values():
+                src["format"] = None
+        cfg = self.make_config(tmp_path, exported, **sources)
+        code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
+        assert (code, err) == (0, "")
+        assert json.loads(out)["ranking"]
+
     @pytest.mark.parametrize("bad", [5, ["x.json"]])
     def test_non_string_output_exits_2(self, capsys, tmp_path, exported, bad):
         cfg = self.make_config(tmp_path, exported, output=bad)

@@ -15,16 +15,7 @@ from fdahp import (
     screen,
     sequential_renumber_map,
 )
-from fdahp.io import (
-    read_matrix_csv,
-    read_matrix_json,
-    read_ratings_csv,
-    read_ratings_json,
-    write_matrix_csv,
-    write_matrix_json,
-    write_ratings_csv,
-    write_ratings_json,
-)
+from fdahp.io import read_matrix, read_ratings, write_matrix, write_ratings
 from fdahp.tfn import ValidationMode
 from helpers import cell
 
@@ -154,28 +145,28 @@ class TestExportRoundTrip:
     def test_csv(self, study, tmp_path):
         ratings = tmp_path / "ratings.csv"
         matrix = tmp_path / "matrix.csv"
-        write_ratings_csv(study.delphi_panel, ratings)
-        write_matrix_csv(study.fahp_matrix, matrix)
-        panel = read_ratings_csv(ratings)
+        write_ratings(study.delphi_panel, ratings, "csv")
+        write_matrix(study.fahp_matrix, matrix, "csv")
+        panel = read_ratings(ratings, "csv")
         assert panel.barrier_ids == study.delphi_panel.barrier_ids
         assert panel.experts == study.delphi_panel.experts
         for bid in panel.barrier_ids:
             assert panel.row(bid) == study.delphi_panel.row(bid)
-        m = read_matrix_csv(matrix, ValidationMode.LENIENT)
+        m = read_matrix(matrix, "csv", ValidationMode.LENIENT)
         assert m.ids == study.fahp_matrix.ids
         assert m.cells == study.fahp_matrix.cells
 
     def test_json(self, study, tmp_path):
         ratings = tmp_path / "ratings.json"
         matrix = tmp_path / "matrix.json"
-        write_ratings_json(study.delphi_panel, ratings)
-        write_matrix_json(study.fahp_matrix, matrix)
-        panel = read_ratings_json(ratings)
+        write_ratings(study.delphi_panel, ratings, "json")
+        write_matrix(study.fahp_matrix, matrix, "json")
+        panel = read_ratings(ratings, "json")
         for bid in panel.barrier_ids:
             assert panel.row(bid) == study.delphi_panel.row(bid)
         assert [b.name for b in panel.barriers] == [
             b.name for b in study.delphi_panel.barriers
         ]
-        m = read_matrix_json(matrix)
+        m = read_matrix(matrix, "json")
         assert m.mode is ValidationMode.LENIENT
         assert m.cells == study.fahp_matrix.cells

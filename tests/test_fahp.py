@@ -56,7 +56,7 @@ class TestValidate:
             [("A", "B", TFN(2, 3, 4)), ("B", "A", TFN(0.25, 1 / 3, 0.5))],
             ["A", "B"],
         )
-        assert m.warnings == []
+        assert m.warnings == ()
 
     def test_study_matrix_lenient_warnings(self, study):
         warnings = study.fahp_matrix.warnings
@@ -70,6 +70,14 @@ class TestValidate:
         ]
         assert len(warnings) == 3
 
+    def test_a_built_matrix_hashes_and_its_warnings_cannot_change(self, study):
+        m = study.fahp_matrix
+        assert type(m.warnings) is tuple and len(m.warnings) == 3
+        assert hash(m) == hash(grid_matrix(m.criteria, m.cells, m.mode))
+        with pytest.raises(AttributeError):
+            m.warnings.clear()
+        assert run_fahp(m).warnings is m.warnings
+
     def test_study_matrix_strict_raises_on_the_unordered_cell(self, study):
         # cell ordering is checked before reciprocity, so (B8,B4) trips first
         cells = study.fahp_matrix.cells
@@ -82,7 +90,7 @@ class TestValidate:
             [("A", "B", TFN(6, 7, 8)), ("B", "A", TFN(0.125, 0.147, 0.17))],
             ["A", "B"],
         )
-        assert m.warnings == []
+        assert m.warnings == ()
 
     def test_reciprocity_breach_detected(self):
         with pytest.raises(ValidationError, match="reciprocal"):
@@ -417,7 +425,7 @@ class TestCollectorPause:
                 gc.enable()
 
     def test_a_nested_call_leaves_the_collector_paused(self):
-        # read_matrix_csv and read_matrix_json call build_matrix with it paused
+        # read_matrix calls build_matrix with it paused
         @_nogc
         def reader():
             build_matrix([("A", "B", TFN(1, 2, 3))], ["A", "B"])

@@ -2,19 +2,12 @@
 garbage-collector pause of each whole-file reader."""
 import gc
 import json
+from functools import partial
 
 import pytest
 
 from fdahp import TFN, ValidationError
-from fdahp.io import (
-    detect_format,
-    read_matrix,
-    read_matrix_csv,
-    read_matrix_json,
-    read_ratings,
-    read_ratings_csv,
-    read_ratings_json,
-)
+from fdahp.io import detect_format, read_matrix, read_ratings, write_matrix, write_ratings
 from fdahp.tfn import ValidationMode
 from helpers import cell, collections_inside
 
@@ -34,10 +27,51 @@ class TestDetectFormat:
         assert detect_format("x.dat", "csv") == "csv"
 
     def test_unknown(self):
-        with pytest.raises(ValidationError):
+        with pytest.raises(ValidationError, match=r"^cannot infer format of x\.dat;"):
             detect_format("x.dat")
-        with pytest.raises(ValidationError):
-            detect_format("x.csv", "xml")
+        for explicit in ("xml", "", "CSV"):
+            with pytest.raises(ValidationError) as exc:
+                detect_format("x.csv", explicit)
+            assert str(exc.value) == f"unknown format {explicit!r}; expected 'csv' or 'json'"
+
+    def test_an_empty_format_is_not_absent(self, tmp_path):
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,E1,5\n")
+        with pytest.raises(ValidationError, match="^unknown format ''"):
+            read_ratings(p, "")
+        with pytest.raises(ValidationError, match="^unknown format ''"):
+            read_matrix(p, "")
+
+
+class TestWriters:
+    def test_the_extension_picks_the_format(self, study, tmp_path):
+        for ext in ("csv", "json", "CSV"):
+            write_ratings(study.delphi_panel, tmp_path / f"r.{ext}")
+            write_matrix(study.fahp_matrix, tmp_path / f"m.{ext}")
+            fmt = ext.lower()
+            assert read_ratings(tmp_path / f"r.{ext}", fmt).rows == study.delphi_panel.rows
+            back = read_matrix(tmp_path / f"m.{ext}", fmt, ValidationMode.LENIENT)
+            assert back.cells == study.fahp_matrix.cells
+        assert (tmp_path / "r.csv").read_bytes().startswith(b"barrier_id,expert_id,l,m,u\r\n")
+        assert (tmp_path / "m.json").read_text(encoding="utf-8").startswith('{\n  "criteria": [')
+
+    def test_an_explicit_format_wins(self, study, tmp_path):
+        write_ratings(study.delphi_panel, tmp_path / "r.csv", "json")
+        write_matrix(study.fahp_matrix, tmp_path / "m.json", "csv")
+        write_ratings(study.delphi_panel, tmp_path / "r.txt", "csv")
+        assert json.loads((tmp_path / "r.csv").read_text(encoding="utf-8"))["scale"] == "delphi-10"
+        assert (tmp_path / "m.json").read_text(encoding="utf-8").startswith("row_id,col_id,")
+        assert read_ratings(tmp_path / "r.txt", "csv").rows == study.delphi_panel.rows
+
+    @pytest.mark.parametrize("write, table", [(write_ratings, "delphi_panel"),
+                                              (write_matrix, "fahp_matrix")])
+    def test_an_unknown_extension_raises_and_writes_nothing(self, study, tmp_path, write, table):
+        p = tmp_path / "out.txt"
+        with pytest.raises(ValidationError) as exc:
+            write(getattr(study, table), p)
+        assert str(exc.value) == f"cannot infer format of {p}; pass format explicitly"
+        with pytest.raises(ValidationError, match="unknown format 'xml'"):
+            write(getattr(study, table), tmp_path / "out.csv", "xml")
+        assert list(tmp_path.iterdir()) == []
 
 
 class TestRatingsCsv:
@@ -505,36 +539,40 @@ _RATINGS_JSON = {"barriers": ["A"], "experts": ["E1"],
                  "ratings": [{"barrier_id": "A", "expert_id": "E1", "rating": 5}]}
 _MATRIX_JSON = {"criteria": ["A", "B"], "cells": [{"row": "A", "col": "B", "tfn": [1, 2, 3]}]}
 # (reader, file name, a file it reads, a file it rejects); the bad matrix CSV raises
-# inside build_matrix, which the reader calls
+# inside build_matrix, which the reader calls. Each reader is named <function>_<fmt>.
 READERS = [
-    (read_ratings_csv, "r.csv", "barrier_id,expert_id,rating\nA,E1,5\n",
+    (partial(read_ratings, fmt="csv"), "r.csv", "barrier_id,expert_id,rating\nA,E1,5\n",
      "barrier_id,expert_id,rating\nA,E1,x\n"),
-    (read_ratings_json, "r.json", json.dumps(_RATINGS_JSON),
+    (partial(read_ratings, fmt="json"), "r.json", json.dumps(_RATINGS_JSON),
      json.dumps({**_RATINGS_JSON, "ratings": [{"barrier_id": "A", "expert_id": "E1",
                                                 "rating": 11}]})),
-    (read_matrix_csv, "m.csv", "row_id,col_id,l,m,u\nA,B,1,2,3\n",
+    (partial(read_matrix, fmt="csv"), "m.csv", "row_id,col_id,l,m,u\nA,B,1,2,3\n",
      "row_id,col_id,l,m,u\nA,B,1,2,3\nA,B,1,2,3\n"),
-    (read_matrix_json, "m.json", json.dumps(_MATRIX_JSON),
+    (partial(read_matrix, fmt="json"), "m.json", json.dumps(_MATRIX_JSON),
      json.dumps({**_MATRIX_JSON, "cells": [{"row": "A", "col": "B", "tfn": [1, 2, "x"]}]})),
 ]
+
+
+def _reader_id(x):
+    return f"{x.func.__name__}_{x.keywords['fmt']}" if isinstance(x, partial) else None
 
 
 class TestCollectorPause:
     def test_a_large_panel_starts_no_collection(self, tmp_path):
         assert gc.isenabled()
-        panel, passes = collections_inside(read_ratings_csv, _large_ratings_csv(tmp_path))
+        panel, passes = collections_inside(read_ratings, _large_ratings_csv(tmp_path), "csv")
         assert (len(panel.barriers), len(panel.experts), passes) == (400, 25, 0)
         assert gc.isenabled()
 
     def test_collector_is_back_on_after_a_late_error(self, tmp_path):
         p = _large_ratings_csv(tmp_path, last="x")
         with pytest.raises(ValidationError) as exc:
-            read_ratings_csv(p)
+            read_ratings(p, "csv")
         assert str(exc.value) == f"{p} line 10001: field 'rating' is not an integer: 'x'"
         assert gc.isenabled()
 
     @pytest.mark.parametrize("enabled", [True, False], ids=["caller-enabled", "caller-disabled"])
-    @pytest.mark.parametrize("reader, name, good, bad", READERS, ids=lambda x: getattr(x, "__name__", None))
+    @pytest.mark.parametrize("reader, name, good, bad", READERS, ids=_reader_id)
     def test_the_callers_state_is_kept(self, tmp_path, reader, name, good, bad, enabled):
         if not enabled:
             gc.disable()

@@ -2,6 +2,7 @@
 reference readers."""
 import csv
 import json
+from functools import partial
 
 import pytest
 
@@ -17,14 +18,10 @@ from fdahp.io import (  # noqa: E402
     MATRIX_HEADER,
     RATINGS_INT_HEADER,
     RATINGS_TFN_HEADER,
-    read_matrix_csv,
-    read_matrix_json,
-    read_ratings_csv,
-    read_ratings_json,
-    write_matrix_csv,
-    write_matrix_json,
-    write_ratings_csv,
-    write_ratings_json,
+    read_matrix,
+    read_ratings,
+    write_matrix,
+    write_ratings,
 )
 
 SETTINGS = settings(derandomize=True, max_examples=100, deadline=None)
@@ -55,8 +52,8 @@ def panels(draw):
 @SETTINGS
 @given(panels())
 def test_ratings_round_trip(path, panel):
-    write_ratings_csv(panel, path)
-    back = read_ratings_csv(path, mode=ValidationMode.LENIENT)
+    write_ratings(panel, path, "csv")
+    back = read_ratings(path, "csv", mode=ValidationMode.LENIENT)
     assert back.barrier_ids == panel.barrier_ids
     assert back.experts == panel.experts
     assert list(back.ratings.items()) == list(panel.ratings.items())
@@ -75,8 +72,8 @@ def matrices(draw):
 @SETTINGS
 @given(matrices())
 def test_matrix_round_trip(path, matrix):
-    write_matrix_csv(matrix, path)
-    back = read_matrix_csv(path, ValidationMode.LENIENT)
+    write_matrix(matrix, path, "csv")
+    back = read_matrix(path, "csv", ValidationMode.LENIENT)
     assert back.ids == matrix.ids
     assert back.cells == matrix.cells
     assert back.warnings == matrix.warnings
@@ -85,8 +82,8 @@ def test_matrix_round_trip(path, matrix):
 @SETTINGS
 @given(panels())
 def test_ratings_json_round_trip(path, panel):
-    write_ratings_json(panel, path)
-    back = read_ratings_json(path, mode=ValidationMode.LENIENT)
+    write_ratings(panel, path, "json")
+    back = read_ratings(path, "json", mode=ValidationMode.LENIENT)
     assert back.barriers == panel.barriers
     assert back.experts == panel.experts
     assert list(back.ratings.items()) == list(panel.ratings.items())
@@ -96,8 +93,8 @@ def test_ratings_json_round_trip(path, panel):
 @SETTINGS
 @given(matrices())
 def test_matrix_json_round_trip(path, matrix):
-    write_matrix_json(matrix, path)
-    back = read_matrix_json(path)  # the file's own mode, lenient
+    write_matrix(matrix, path, "json")
+    back = read_matrix(path, "json")  # the file's own mode, lenient
     assert back.mode is ValidationMode.LENIENT
     assert back.criteria == matrix.criteria
     assert back.cells == matrix.cells
@@ -137,11 +134,11 @@ def csv_bytes(draw):
 def test_readers_raise_only_validation_errors(path, data, mode):
     path.write_bytes(data)
     try:
-        assert isinstance(read_ratings_csv(path, mode=mode), RatingPanel)
+        assert isinstance(read_ratings(path, "csv", mode=mode), RatingPanel)
     except ValidationError:
         pass
     try:
-        assert isinstance(read_matrix_csv(path, mode), PairwiseMatrix)
+        assert isinstance(read_matrix(path, "csv", mode), PairwiseMatrix)
     except ValidationError:
         pass
 
@@ -198,7 +195,7 @@ def test_ratings_reader_matches_dictreader_reference(path, table, mode):
         w = csv.writer(f)
         w.writerow(header)
         w.writerows(rows)
-    got, want = read_ratings_csv(path, mode=mode), reference_ratings(path, mode)
+    got, want = read_ratings(path, "csv", mode=mode), reference_ratings(path, mode)
     assert got.barrier_ids == [b.id for b in want.barriers]
     assert got.experts == want.experts
     assert list(got.ratings.items()) == list(want.ratings.items())
@@ -393,14 +390,16 @@ def _read(reader, path, mode):
 @given(ratings_docs(), st.sampled_from(ValidationMode))
 def test_ratings_json_reader_matches_reference(path, doc, mode):
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert _read(read_ratings_json, path, mode) == _read(reference_ratings_json, path, mode)
+    got = _read(partial(read_ratings, fmt="json"), path, mode)
+    assert got == _read(reference_ratings_json, path, mode)
 
 
 @settings(SETTINGS, max_examples=200)
 @given(matrix_docs(), st.sampled_from(ValidationMode))
 def test_matrix_json_reader_matches_reference(path, doc, mode):
     path.write_text(json.dumps(doc), encoding="utf-8")
-    assert _read(read_matrix_json, path, mode) == _read(reference_matrix_json, path, mode)
+    got = _read(partial(read_matrix, fmt="json"), path, mode)
+    assert got == _read(reference_matrix_json, path, mode)
 
 
 JSON_TREES = st.recursive(
@@ -433,11 +432,11 @@ def json_docs(draw):
 def test_json_readers_raise_only_validation_errors(path, doc, mode):
     path.write_text(json.dumps(doc), encoding="utf-8")
     try:
-        assert isinstance(read_ratings_json(path, mode=mode), RatingPanel)
+        assert isinstance(read_ratings(path, "json", mode=mode), RatingPanel)
     except ValidationError:
         pass
     for matrix_mode in (mode, None):
         try:
-            assert isinstance(read_matrix_json(path, matrix_mode), PairwiseMatrix)
+            assert isinstance(read_matrix(path, "json", matrix_mode), PairwiseMatrix)
         except ValidationError:
             pass

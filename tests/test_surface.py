@@ -150,8 +150,8 @@ def test_one_helper_prefixes_a_location():
         "errors._located",  # the helper itself
         "fahp.build_matrix",  # auto-fill: names the pair only on failure, not per memo miss
         "fahp.fuzzy_weights",  # adds a suffix, the row-mean total, not a prefix
-        "io.read_matrix_json",  # "{path} cells[k]": formatted only on failure, per record
-        "io.read_ratings_json",  # "{path} ratings[k]": the same
+        "io.read_matrix",  # JSON "{path} cells[k]": formatted only on failure, per record
+        "io.read_ratings",  # JSON "{path} ratings[k]": the same
     ]
 
 
@@ -186,9 +186,7 @@ def test_one_gc_pause():
                     paused.add(where)
     assert switches == {"errors._nogc"}
     assert paused == {  # each turns a whole input into a panel or a matrix
-        "io.read_ratings_csv", "io.read_ratings_json",
-        "io.read_matrix_csv", "io.read_matrix_json",
-        "fahp.build_matrix",
+        "io.read_ratings", "io.read_matrix", "fahp.build_matrix",
     }
 
 

@@ -116,7 +116,7 @@ def test_validate_cells_matches_reference(raw):
         assert str(exc.value) == overflow
     first = f"{expected[0][1]}: {expected[0][2]}" if expected else overflow
     if first is None:
-        assert validate_cells(criteria, cells, ValidationMode.STRICT) == []
+        assert validate_cells(criteria, cells, ValidationMode.STRICT) == ()
     else:
         with pytest.raises(ValidationError) as exc:
             validate_cells(criteria, cells, ValidationMode.STRICT)
@@ -248,7 +248,7 @@ def test_build_matrix_matches_full_validation(drawn):
         assert not isinstance(built, str), built
         assert built.cells == cells
         assert all(type(t) is TFN for row in built.cells for t in row)
-        assert built.warnings == found
+        assert built.warnings == tuple(found)
 
 
 # Row-mean cells: positives, signed zeros (a zero factor gives 0.0) and
