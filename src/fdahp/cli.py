@@ -129,12 +129,28 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return _emit_report(args, t0, {"matrix": args.matrix}, ranking=result)
 
 
+CONFIG_KEYS = ("ratings", "matrix", "scale", "threshold", "mode", "renumber", "tie_break",
+               "output", "emit")
+
+
+def _known_keys(path: str, where: str, obj: dict, known: tuple[str, ...]) -> None:
+    """Raise for the first key of `obj` not in `known`, naming the nearest known one."""
+    for key in obj:
+        if key not in known:
+            from difflib import get_close_matches  # only on this error path
+            near = get_close_matches(key, known, 1)
+            hint = f" (did you mean {where + near[0]!r}?)" if near else ""
+            raise ValidationError(f"{path}: unknown key {where + key!r}{hint}")
+
+
 def _load_pipeline_config(path: str) -> dict:
     cfg = load_json(path, "config")
+    _known_keys(path, "", cfg, CONFIG_KEYS)
     for key in ("ratings", "matrix"):
         src = cfg.get(key)
         if not isinstance(src, dict) or not src.get("path"):
             raise ValidationError(f"{path}: config needs {key}.path")
+        _known_keys(path, f"{key}.", src, ("path", "format"))
         if not isinstance(src["path"], str):
             raise ValidationError(f"{path}: {key}.path must be a string, got {src['path']!r}")
         if src.get("format") not in (None, "csv", "json"):
@@ -154,6 +170,7 @@ def _load_pipeline_config(path: str) -> dict:
         raise ValidationError(f"{path}: emit must be one of json, csv, md")
     if cfg.get("output") is not None and not isinstance(cfg["output"], str):
         raise ValidationError(f"{path}: output must be a string, got {cfg['output']!r}")
+    cfg["threshold"] = _located(path, ThresholdStrategy.parse, cfg.get("threshold", "mean"))
     return cfg
 
 
@@ -166,8 +183,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
 
     try:
         panel = read_ratings(ratings_path, cfg["ratings"].get("format"), scale, mode)
-        threshold = ThresholdStrategy.parse(cfg.get("threshold", "mean"))
-        screening = _located(ratings_path, screen, panel, threshold)
+        screening = _located(ratings_path, screen, panel, cfg["threshold"])
     except ValidationError as exc:
         raise ValidationError(f"[screen] {exc}") from None
     _info(args, f"pipeline: {len(screening.selected_ids)} of {len(screening.rows)} "

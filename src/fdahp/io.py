@@ -16,7 +16,9 @@ rest of the header must match exactly; blank lines are skipped. Every field
 named by the header must be non-empty. A non-empty field beyond the header is
 an error, never silently dropped. Error messages give the physical line of
 the file (for a quoted field that spans lines, the line on which its row
-ends).
+ends). A plain integer-rating file (three fields and a line break on every
+line; no quote, NUL or lone CR) is split in bulk, with the same results and
+errors as the row-by-row path.
 
 JSON schemas:
   ratings: {"scale": ..., "barriers": [...], "experts": [...],
@@ -42,6 +44,8 @@ from .tfn import TFN, TriangularFuzzyNumber, ValidationMode
 RATINGS_INT_HEADER = ["barrier_id", "expert_id", "rating"]
 RATINGS_TFN_HEADER = ["barrier_id", "expert_id", "l", "m", "u"]
 MATRIX_HEADER = ["row_id", "col_id", "l", "m", "u"]
+# the bytes csv reads as field text: all but its separators, its quote and NUL
+_FIELD_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
 
 
 def detect_format(path: str | Path, explicit: str | None = None) -> str:
@@ -173,6 +177,36 @@ def _json_list(path: Path, doc: dict[str, Any], key: str) -> list:
     return items
 
 
+def _plain_int_ratings(path: Path, scale: LinguisticScale) -> tuple | None:
+    """`(grid, barrier ids, expert ids)` of a plain integer-rating CSV file, split in bulk;
+    None for any other file, or for a bad rating or a duplicate cell, which the
+    `csv.reader` loop reads and names by line."""
+    try:
+        with open(path, newline="", encoding="utf-8-sig") as f:
+            text = f.read()
+    except UnicodeDecodeError:
+        return None
+    eol = "\r\n" if text.endswith("\r\n") else "\n"
+    head = ",".join(RATINGS_INT_HEADER) + eol
+    # three fields a line; csv ends a record only at CR or LF, never at \x85 as splitlines() does
+    if (not text.startswith(head) or text.encode().translate(None, _FIELD_BYTES)
+            != (",," + eol).encode() * text.count("\n")):
+        return None
+    cells = text[len(head):-len(eol)].replace(eol, ",").split(",")
+    too_long = len(text) > (limit := csv.field_size_limit()) and max(map(len, cells)) > limit
+    del text
+    if too_long or "" in cells:
+        return None
+    bids, eids, raws = cells[0::3], cells[1::3], cells[2::3]
+    del cells
+    try:
+        parsed = {raw: scale.tfn(int(raw)) for raw in set(raws)}
+    except ValueError:  # ValidationError included
+        return None
+    grid = dict(zip(zip(bids, eids), map(parsed.__getitem__, raws)))
+    return (grid, bids, eids) if len(grid) == len(raws) else None
+
+
 @_nogc
 def read_ratings(
     path: str | Path,
@@ -184,7 +218,10 @@ def read_ratings(
     fmt = detect_format(path, fmt)
     path = Path(path)
     grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
-    if fmt == "csv":
+    if fmt == "csv" and (bulk := _plain_int_ratings(path, scale or get_scale("delphi-10"))):
+        grid, bids, eids = bulk
+        barriers, experts = map(Barrier, dict.fromkeys(bids)), dict.fromkeys(eids)
+    elif fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as f:
             rows = _csv_rows(reader := csv.reader(f), path)
             header = next(rows)

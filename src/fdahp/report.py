@@ -108,10 +108,32 @@ def _json(v: Any, indent: str = "") -> str:
                          for k, x in v.items()])
         return f"{{\n{inner}{body}\n{indent}}}"
     if t is list:
-        items = [repr(x) if type(x) is float and math.isfinite(x) else _json(x, inner) for x in v]
-        return f"[\n{inner}{sep.join(items)}\n{indent}]"
+        return f"[\n{inner}{sep.join(_column(v, inner))}\n{indent}]"
     # JSON text holds no raw newline, so re-indenting its lines is exact
     return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+
+
+def _column(col: Sequence, indent: str) -> list[str]:
+    """`[_json(x, indent) for x in col]`, in one pass when all values are str, exact int
+    or finite float (a mixed int and float column goes value by value: isfinite overflows
+    on a huge int), or through one %-template when all are lists of one non-zero length
+    or non-empty dicts of one str-key order."""
+    types = set(map(type, col))
+    if types == {str}:
+        return list(map(encode_basestring, col))
+    if types == {int} or types == {float} and all(map(math.isfinite, col)):
+        return list(map(repr, col))
+    inner = indent + "  "
+    if types == {list} and len(sizes := set(map(len, col))) == 1 and 0 not in sizes:
+        tmpl = f"[\n{inner}%s" + f",\n{inner}%s" * (sizes.pop() - 1) + f"\n{indent}]"
+        return list(map(tmpl.__mod__, zip(*[_column(c, inner) for c in zip(*col)])))
+    if (types == {dict} and len(orders := set(map(tuple, col))) == 1 and (keys := orders.pop())
+            and all(type(k) is str for k in keys)):
+        fields = [f"{encode_basestring(k).replace('%', '%%')}: %s" for k in keys]
+        tmpl = f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
+        values = zip(*map(dict.values, col))
+        return list(map(tmpl.__mod__, zip(*[_column(c, inner) for c in values])))
+    return [_json(x, indent) for x in col]
 
 
 def _one_line(text: str) -> str:

@@ -378,6 +378,22 @@ class TestPipeline:
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {cfg}: {message}")
 
+    @pytest.mark.parametrize("extra, message", [
+        ({"thresold": "fixed:9.9"}, "unknown key 'thresold' (did you mean 'threshold'?)"),
+        ({"colour": "red"}, "unknown key 'colour'"),
+        ({"matrix": {"path": "m.csv", "fromat": "csv"}},
+         "unknown key 'matrix.fromat' (did you mean 'matrix.format'?)"),
+        ({"ratings": {"path": "r.csv", "mode": "strict"}}, "unknown key 'ratings.mode'"),
+        ({"threshold": "median"},
+         "unknown threshold strategy 'median'; use 'mean' or 'fixed:<value>'"),
+        ({"threshold": 5}, "threshold strategy must be a string, got 5"),
+    ])
+    def test_unknown_key_or_bad_threshold_names_the_config(self, capsys, tmp_path, exported,
+                                                           extra, message):
+        cfg = self.make_config(tmp_path, exported, **extra)
+        code, out, err = run(capsys, ["pipeline", "--config", str(cfg)])
+        assert (code, out, err) == (2, "", f"error: {cfg}: {message}\n")
+
     @pytest.mark.parametrize("content", [b'{"ratings": "\xff"}', b"[1, 2]"])
     def test_unusable_config_exits_2(self, capsys, tmp_path, content):
         cfg = tmp_path / "config.json"

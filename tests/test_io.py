@@ -6,6 +6,7 @@ from functools import partial
 
 import pytest
 
+import fdahp.io
 from fdahp import TFN, ValidationError
 from fdahp.io import detect_format, read_matrix, read_ratings, write_matrix, write_ratings
 from fdahp.tfn import ValidationMode
@@ -207,6 +208,21 @@ class TestRatingsCsv:
         p = write(tmp_path, "r.csv", f"barrier_id,expert_id,rating\nA,E1,5\nA,E2,{huge}\n")
         with pytest.raises(ValidationError, match="r.csv line 3: field larger than field limit"):
             read_ratings(p)
+
+    def test_oversized_id_names_line(self, tmp_path):
+        huge = "B" * 200_000
+        p = write(tmp_path, "r.csv", f"barrier_id,expert_id,rating\nA,E1,5\n{huge},E1,5\n")
+        with pytest.raises(ValidationError, match="r.csv line 3: field larger than field limit"):
+            read_ratings(p)
+
+    @pytest.mark.parametrize("eol", ["\n", "\r\n"])
+    def test_a_plain_integer_file_is_split_in_bulk(self, tmp_path, monkeypatch, eol):
+        rows = ["barrier_id,expert_id,rating", "B,E2,7", "B,E1,3", "A,E2,10", "A,E1, 4"]
+        p = write(tmp_path, "r.csv", eol.join(rows) + eol)
+        monkeypatch.setattr(fdahp.io, "_csv_rows", None)  # the row-by-row reader is not used
+        panel = read_ratings(p)
+        assert (panel.barrier_ids, panel.experts) == (["B", "A"], ("E2", "E1"))
+        assert panel.row("A") == (TFN(10, 10, 10), TFN(3, 4, 5))
 
     def test_incomplete_grid(self, tmp_path):
         p = write(

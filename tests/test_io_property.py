@@ -3,6 +3,7 @@ reference readers."""
 import csv
 import json
 from functools import partial
+from unittest.mock import patch
 
 import pytest
 
@@ -201,6 +202,68 @@ def test_ratings_reader_matches_dictreader_reference(path, table, mode):
     assert list(got.ratings.items()) == list(want.ratings.items())
     for b in want.barrier_ids:
         assert got.row(b) == tuple(want.ratings[b, e] for e in want.experts)
+
+
+# Characters an edit puts into a field: the ones the csv module treats specially,
+# the ones str.splitlines() also breaks at (\x85, \u2028), a BOM, and spaces and
+# signs, which int() may accept.
+SPECIALS = [",", '"', "\r", "\n", "\r\n", "\x00", "\x85", "\u2028", "\ufeff", " ", "+", "-"]
+
+
+@st.composite
+def integer_rating_csvs(draw):
+    """Integer-rating CSV files: a full grid over digit and letter ids, some rows edited
+    (a special character put into a field, a field quoted, digits joined by a character
+    that splitlines() breaks at and csv does not, an extra field, a duplicate or a
+    missing cell); either line break, with or without a last one, a BOM, or a byte that
+    is not UTF-8."""
+    ids = st.sampled_from(["1", "2", "3", "A", "E1", "E2"])
+    barriers = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    experts = draw(st.lists(ids, min_size=1, max_size=3, unique=True))
+    ratings = st.sampled_from([*map(str, range(1, 11)), " 4", "+3", "07"] * 3 + ["0", "11", "x"])
+    rows = [[b, e, draw(ratings)] for b in barriers for e in experts]
+    for _ in range(draw(st.sampled_from([0, 0, 1, 2, 3]))):
+        row = rows[draw(st.integers(0, len(rows) - 1))]
+        j = draw(st.integers(0, 2))
+        edit = draw(st.sampled_from(["special", "quote", "breaks", "extra", "duplicate", "drop"]))
+        if edit == "special":
+            k = draw(st.integers(0, len(row[j])))
+            row[j] = row[j][:k] + draw(st.sampled_from(SPECIALS)) + row[j][k:]
+        elif edit == "quote":
+            row[j] = f'"{row[j]}"'
+        elif edit == "breaks":
+            digits = draw(st.lists(st.sampled_from("123"), min_size=2, max_size=4))
+            row[j] = draw(st.sampled_from(["\x85", "\u2028"])).join(digits)
+        elif edit == "extra":
+            row.append(draw(st.sampled_from(["", "7"])))
+        elif edit == "duplicate":
+            rows.insert(draw(st.integers(0, len(rows))), row[:2] + [draw(ratings)])
+        elif len(rows) > 1:
+            rows.remove(row)
+    eol = draw(st.sampled_from(["\n", "\r\n"]))
+    last = draw(st.sampled_from([eol, eol, ""]))
+    text = eol.join(map(",".join, [RATINGS_INT_HEADER, *rows])) + last
+    data = (draw(st.sampled_from(["", "\ufeff"])) + text).encode()
+    if draw(st.integers(0, 7)) == 0:
+        k = draw(st.integers(0, len(data)))
+        data = data[:k] + b"\xff" + data[k:]
+    return data
+
+
+def _outcome(path):
+    try:
+        return read_ratings(path, "csv")
+    except Exception as exc:  # noqa: BLE001 - the exception is the outcome compared
+        return type(exc), str(exc)
+
+
+@settings(derandomize=True, max_examples=400, deadline=None)
+@given(integer_rating_csvs())
+def test_bulk_integer_reader_matches_the_row_by_row_one(path, data):
+    path.write_bytes(data)
+    with patch("fdahp.io._plain_int_ratings", return_value=None):
+        want = _outcome(path)
+    assert _outcome(path) == want
 
 
 # JSON record values: every type json.load makes, with numbers that reach each

@@ -33,10 +33,35 @@ TREES = st.recursive(
     ),
     max_leaves=12,
 )
+# Lists of records that share one key order, as reports hold them, so that each
+# column is written in one pass: keys with `%`, and columns of one kind each.
+RECORD_KEYS = st.text('%sd"é a', max_size=3)
+COLUMN_KINDS = st.sampled_from([
+    st.text('%s"\\é\u2028a', max_size=3),
+    st.booleans(),
+    st.integers(),
+    st.floats(),
+    st.one_of(st.integers(), st.floats(), st.just(10 ** 400)),
+    st.sampled_from([math.nan, math.inf, -math.inf, 1.5]),
+    st.none(),
+    st.dictionaries(st.text(max_size=2), SCALARS, max_size=2),
+    st.fixed_dictionaries({"%s": st.floats(), "b": st.text(max_size=2)}),
+    st.lists(st.floats(), min_size=3, max_size=3),
+    st.lists(st.lists(st.integers(), min_size=1, max_size=1), min_size=2, max_size=2),
+    st.lists(SCALARS, max_size=3),
+    st.just([]),
+    TREES,
+])
+RECORDS = st.lists(RECORD_KEYS, min_size=1, max_size=4, unique=True).flatmap(
+    lambda keys: st.tuples(*[COLUMN_KINDS] * len(keys)).flatmap(
+        lambda kinds: st.lists(st.fixed_dictionaries(dict(zip(keys, kinds))),
+                               min_size=1, max_size=4)
+    )
+)
 
 
-@settings(derandomize=True, max_examples=300, deadline=None)
-@given(TREES)
+@settings(derandomize=True, max_examples=600, deadline=None)
+@given(st.one_of(TREES, RECORDS, st.dictionaries(st.text(max_size=4), RECORDS, max_size=2)))
 def test_writer_matches_stdlib_indented_json(tree):
     assert _json(tree) == json.dumps(tree, indent=2, ensure_ascii=False)
 

@@ -15,8 +15,9 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Stdlib modules that cost start-up time and that fdahp's commands do not need
-# up front; `importlib.resources` is imported only to read the bundled study.
-HEAVY = ["dataclasses", "inspect", "logging", "importlib.resources"]
+# up front; `importlib.resources` is imported only to read the bundled study, and
+# `difflib` only to name the nearest key for an unknown pipeline-config key.
+HEAVY = ["dataclasses", "inspect", "logging", "importlib.resources", "difflib"]
 
 
 def python(*argv):
