@@ -129,8 +129,30 @@ def cmd_rank(args: argparse.Namespace) -> int:
     return _emit_report(args, t0, {"matrix": args.matrix}, ranking=result)
 
 
-CONFIG_KEYS = ("ratings", "matrix", "scale", "threshold", "mode", "renumber", "tie_break",
-               "output", "emit")
+def _checked(message: str, ok):
+    """A config parser that returns a value for which `ok(value)` holds, and raises
+    `message`, formatted with the value, for any other."""
+    def parse(value):
+        if not ok(value):
+            raise ValidationError(message.format(value))
+        return value
+    return parse
+
+
+# Each pipeline-config option, in the order it is checked: its value when absent, and the
+# parser of a given value. Besides these, a config holds the `ratings` and `matrix` inputs.
+CONFIG_OPTIONS = {
+    "tie_break": ("index", _checked("unsupported tie_break {!r}", lambda v: v == "index")),
+    "renumber": ("sequential", _checked("renumber must be 'sequential' or 'none'",
+                                        lambda v: v in ("sequential", "none"))),
+    "emit": ("json", _checked("emit must be one of json, csv, md",
+                              lambda v: v in ("json", "csv", "md"))),
+    "output": (None, _checked("output must be a string, got {!r}",
+                              lambda v: v is None or isinstance(v, str))),
+    "threshold": (ThresholdStrategy.mean(), ThresholdStrategy.parse),
+    "mode": (ValidationMode.STRICT, ValidationMode.parse),
+    "scale": (None, get_scale),
+}
 
 
 def _known_keys(path: str, where: str, obj: dict, known: tuple[str, ...]) -> None:
@@ -144,8 +166,11 @@ def _known_keys(path: str, where: str, obj: dict, known: tuple[str, ...]) -> Non
 
 
 def _load_pipeline_config(path: str) -> dict:
+    """The config at `path`: `ratings` and `matrix` as `(path, format)` pairs, and every
+    option of CONFIG_OPTIONS parsed, or its default; an error names `path`."""
     cfg = load_json(path, "config")
-    _known_keys(path, "", cfg, CONFIG_KEYS)
+    _known_keys(path, "", cfg, ("ratings", "matrix", *CONFIG_OPTIONS))
+    loaded = {}
     for key in ("ratings", "matrix"):
         src = cfg.get(key)
         if not isinstance(src, dict) or not src.get("path"):
@@ -162,27 +187,19 @@ def _load_pipeline_config(path: str) -> dict:
                 f"{path}: {key}.path={src['path']!r} is not supported; a comparison "
                 "matrix must be supplied as a file, it is never derived"
             )
-    if cfg.get("tie_break", "index") != "index":
-        raise ValidationError(f"{path}: unsupported tie_break {cfg.get('tie_break')!r}")
-    if cfg.get("renumber", "sequential") not in ("sequential", "none"):
-        raise ValidationError(f"{path}: renumber must be 'sequential' or 'none'")
-    if cfg.get("emit", "json") not in ("json", "csv", "md"):
-        raise ValidationError(f"{path}: emit must be one of json, csv, md")
-    if cfg.get("output") is not None and not isinstance(cfg["output"], str):
-        raise ValidationError(f"{path}: output must be a string, got {cfg['output']!r}")
-    cfg["threshold"] = _located(path, ThresholdStrategy.parse, cfg.get("threshold", "mean"))
-    return cfg
+        loaded[key] = (src["path"], src.get("format"))
+    for key, (default, parse) in CONFIG_OPTIONS.items():
+        loaded[key] = _located(path, parse, cfg[key]) if key in cfg else default
+    return loaded
 
 
 def cmd_pipeline(args: argparse.Namespace) -> int:
     t0 = time.perf_counter()
     cfg = _load_pipeline_config(args.config)
-    mode = _located(args.config, ValidationMode.parse, cfg.get("mode", "strict"))
-    scale = _located(args.config, get_scale, cfg["scale"]) if "scale" in cfg else None
-    ratings_path, matrix_path = cfg["ratings"]["path"], cfg["matrix"]["path"]
+    (ratings_path, ratings_fmt), (matrix_path, matrix_fmt) = cfg["ratings"], cfg["matrix"]
 
     try:
-        panel = read_ratings(ratings_path, cfg["ratings"].get("format"), scale, mode)
+        panel = read_ratings(ratings_path, ratings_fmt, cfg["scale"], cfg["mode"])
         screening = _located(ratings_path, screen, panel, cfg["threshold"])
     except ValidationError as exc:
         raise ValidationError(f"[screen] {exc}") from None
@@ -194,7 +211,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
             "[pipeline] screening selected no barriers; the ranking stage "
             "needs at least one criterion"
         )
-    if cfg.get("renumber", "sequential") == "sequential":
+    if cfg["renumber"] == "sequential":
         criteria = renumber_selected(
             screening, sequential_renumber_map(screening.selected_ids)
         )
@@ -202,7 +219,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         criteria = screening.selected_barriers
 
     try:
-        matrix = read_matrix(matrix_path, cfg["matrix"].get("format"), mode)
+        matrix = read_matrix(matrix_path, matrix_fmt, cfg["mode"])
         expected_ids = [c.id for c in criteria]
         if matrix.ids != expected_ids:
             raise ValidationError(
@@ -214,7 +231,7 @@ def cmd_pipeline(args: argparse.Namespace) -> int:
         raise ValidationError(f"[rank] {exc}") from None
 
     inputs = {"config": args.config, "ratings": ratings_path, "matrix": matrix_path}
-    return _emit_report(args, t0, inputs, cfg.get("emit", "json"), cfg.get("output"),
+    return _emit_report(args, t0, inputs, cfg["emit"], cfg["output"],
                         screening=screening, ranking=ranking)
 
 

@@ -289,13 +289,23 @@ def screen(
 ) -> ScreeningResult:
     """Run the full screening pipeline: aggregate, defuzzify, threshold, decide.
 
-    A barrier is selected iff its score is >= the threshold (ties inclusive).
+    A barrier is selected iff its score is >= the threshold (ties inclusive). Under
+    the mean strategy, a score within a few ulps of the rounded mean is compared with
+    the exact mean of the scores instead, so equal scores are all selected.
     """
     aggregates = aggregate_panel(panel)
     scores = score_barriers(aggregates)
     threshold = compute_threshold(scores, strategy)
+    selected = {bid: s >= threshold for bid, s in scores.items()}
+    near = [bid for bid, s in scores.items() if abs(s - threshold) <= 4 * math.ulp(threshold)]
+    if strategy.kind == "mean" and near:
+        from fractions import Fraction  # only on this path: it is slow to import
+
+        total = sum(map(Fraction, scores.values()))
+        for bid in near:
+            selected[bid] = Fraction(scores[bid]) * len(scores) >= total
     rows = [
-        BarrierScreening(b, aggregates[b.id], scores[b.id], scores[b.id] >= threshold)
+        BarrierScreening(b, aggregates[b.id], scores[b.id], selected[b.id])
         for b in panel.barriers
     ]
     return ScreeningResult(rows, threshold, strategy, panel.warnings)

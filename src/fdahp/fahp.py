@@ -28,6 +28,10 @@ from .tfn import (
 # reciprocal of cell(i,j); printed matrices commonly carry ~3% rounding drift.
 RECIPROCITY_TOLERANCE = 0.05
 
+# Relative gap below which two normalized weights are tied in `rank`. Float row means
+# split exact ties by about an ulp; this is far wider, and far below the printed digits.
+RANK_TIE_TOLERANCE = 1e-12
+
 
 class PairwiseMatrix(NamedTuple):
     """Square grid of fuzzy pairwise comparisons over an ordered criteria list.
@@ -239,12 +243,22 @@ def crisp_weights(w: Sequence[TriangularFuzzyNumber]) -> tuple[list[float], list
 
 
 def rank(n_weights: Sequence[float]) -> list[int]:
-    """1-based ranks, descending by weight; ties broken by ascending index."""
+    """1-based ranks, descending by weight; ties broken by ascending index.
+
+    Walking the weights in descending order, neighbours within RANK_TIE_TOLERANCE
+    (relative) of each other form one tied group.
+    """
     if not n_weights:
         raise ValidationError("nothing to rank")
     order = sorted(range(len(n_weights)), key=lambda i: (-n_weights[i], i))
+    groups = [[order[0]]]
+    for prev, i in zip(order, order[1:]):
+        if math.isclose(n_weights[prev], n_weights[i], rel_tol=RANK_TIE_TOLERANCE):
+            groups[-1].append(i)
+        else:
+            groups.append([i])
     ranks = [0] * len(n_weights)
-    for position, i in enumerate(order):
+    for position, i in enumerate(k for group in groups for k in sorted(group)):
         ranks[i] = position + 1
     return ranks
 

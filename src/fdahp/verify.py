@@ -29,58 +29,43 @@ def _fmt(x: float) -> str:
     return f"{x:.6g}"
 
 
-def _num_check(name: str, expected: float, computed: float, tol: float) -> CheckResult:
-    return CheckResult(name, _fmt(expected), _fmt(computed), _fmt(tol),
-                       abs(computed - expected) <= tol)
-
-
-def _tfn_check(
-    name: str, expected: TriangularFuzzyNumber, computed: TriangularFuzzyNumber, tol: float
-) -> CheckResult:
-    dev = max(abs(a - b) for a, b in zip(computed, expected))
-    return CheckResult(name, str(expected), str(computed), _fmt(tol), dev <= tol)
+def _table_checks(name: str, tol: float, rows: list[tuple[str, Any, Any]]) -> list[CheckResult]:
+    """One check per `(label, printed, computed)` row of a printed table, named
+    `name` and its label. A float prints through `_fmt` and a TFN through `str`;
+    the deviation is the largest absolute component difference."""
+    checks = []
+    for label, printed, computed in rows:
+        if isinstance(printed, TriangularFuzzyNumber):
+            text, pairs = str, zip(computed, printed)
+        else:
+            text, pairs = _fmt, [(computed, printed)]
+        dev = max(abs(c - p) for c, p in pairs)
+        checks.append(CheckResult(f"{name} {label}".rstrip(), text(printed), text(computed),
+                                  _fmt(tol), dev <= tol))
+    return checks
 
 
 def run_study_checks(study: PaperStudy) -> list[CheckResult]:
-    """All reproduction checks, in pipeline order."""
-    checks: list[CheckResult] = []
-
+    """All reproduction checks, in pipeline order: one `_table_checks` call per
+    printed numeric table, between the hand-written threshold, decision,
+    renumbering and ranking checks."""
     screening = screen(study.delphi_panel)
+    ranking = run_fahp(study.fahp_matrix)
     dexp = study.delphi_expected
-    for row in screening.rows:
-        checks.append(
-            _num_check(
-                f"screening score {row.barrier.id}",
-                dexp.scores[row.barrier.id],
-                row.score,
-                SCORE_TOL,
-            )
-        )
+    rexp = study.fahp_expected
+    n_by_id = ranking.normalized_by_id()
+
+    scores = [(r.barrier.id, dexp.scores[r.barrier.id], r.score) for r in screening.rows]
+    row_means = [(cid, rexp.row_geometric_means[cid], r)
+                 for cid, r in zip(ranking.ids, ranking.row_means)]
+    weights = [(cid, rexp.weights_normalized[cid], n_by_id[cid]) for cid in ranking.ids]
+
     lo, hi = dexp.threshold_range
-    checks.append(
-        CheckResult(
-            "screening threshold",
-            f"[{_fmt(lo)}, {_fmt(hi)}]",
-            _fmt(screening.threshold),
-            "range",
-            lo <= screening.threshold <= hi,
-        )
-    )
     decisions_ok = all(
         ("selected" if r.selected else "rejected") == dexp.decisions[r.barrier.id]
         for r in screening.rows
     )
     n_sel = len(dexp.selected_ids())
-    checks.append(
-        CheckResult(
-            "screening decisions",
-            f"{n_sel} selected / {len(dexp.decisions) - n_sel} rejected",
-            f"{len(screening.selected_ids)} selected / {len(screening.rejected_ids)} rejected",
-            "exact",
-            decisions_ok,
-        )
-    )
-
     matrix_ids = study.fahp_matrix.ids
     try:
         renumbered = [c.id for c in renumber_selected(screening, study.renumber_map)]
@@ -89,62 +74,30 @@ def run_study_checks(study: PaperStudy) -> list[CheckResult]:
     except ValidationError as exc:
         renumber_ok = False
         renumber_str = f"error: {exc}"
-    checks.append(
-        CheckResult(
-            "renumbered survivors match ranking criteria",
-            " ".join(matrix_ids),
-            renumber_str,
-            "exact",
-            renumber_ok,
-        )
-    )
-
-    ranking = run_fahp(study.fahp_matrix)
-    rexp = study.fahp_expected
-    for i, cid in enumerate(ranking.ids):
-        checks.append(
-            _tfn_check(
-                f"row geometric mean {cid}",
-                rexp.row_geometric_means[cid],
-                ranking.row_means[i],
-                ROW_MEAN_TOL,
-            )
-        )
-    checks.append(_tfn_check("row-mean total", rexp.total, ranking.total, TOTAL_TOL))
-    checks.append(
-        _tfn_check("inverse total", rexp.inverse_total, ranking.inverse, INVERSE_TOL)
-    )
-    n_by_id = ranking.normalized_by_id()
-    for cid in ranking.ids:
-        checks.append(
-            _num_check(
-                f"normalized weight {cid}",
-                rexp.weights_normalized[cid],
-                n_by_id[cid],
-                WEIGHT_TOL,
-            )
-        )
-    checks.append(
-        CheckResult(
-            "rank order",
-            " > ".join(rexp.rank_order),
-            " > ".join(ranking.rank_order),
-            "exact",
-            ranking.rank_order == rexp.rank_order,
-        )
-    )
     top = rexp.rank_order[:3]
-    top_ok = n_by_id[top[0]] > n_by_id[top[1]] > n_by_id[top[2]]
-    checks.append(
-        CheckResult(
-            "top-three weights strictly ordered",
-            f"N({top[0]}) > N({top[1]}) > N({top[2]})",
-            " > ".join(_fmt(n_by_id[c]) for c in top),
-            "strict",
-            top_ok,
-        )
-    )
-    return checks
+
+    return [
+        *_table_checks("screening score", SCORE_TOL, scores),
+        CheckResult("screening threshold", f"[{_fmt(lo)}, {_fmt(hi)}]",
+                    _fmt(screening.threshold), "range", lo <= screening.threshold <= hi),
+        CheckResult("screening decisions",
+                    f"{n_sel} selected / {len(dexp.decisions) - n_sel} rejected",
+                    f"{len(screening.selected_ids)} selected / "
+                    f"{len(screening.rejected_ids)} rejected",
+                    "exact", decisions_ok),
+        CheckResult("renumbered survivors match ranking criteria", " ".join(matrix_ids),
+                    renumber_str, "exact", renumber_ok),
+        *_table_checks("row geometric mean", ROW_MEAN_TOL, row_means),
+        *_table_checks("row-mean total", TOTAL_TOL, [("", rexp.total, ranking.total)]),
+        *_table_checks("inverse total", INVERSE_TOL, [("", rexp.inverse_total, ranking.inverse)]),
+        *_table_checks("normalized weight", WEIGHT_TOL, weights),
+        CheckResult("rank order", " > ".join(rexp.rank_order), " > ".join(ranking.rank_order),
+                    "exact", ranking.rank_order == rexp.rank_order),
+        CheckResult("top-three weights strictly ordered",
+                    f"N({top[0]}) > N({top[1]}) > N({top[2]})",
+                    " > ".join(_fmt(n_by_id[c]) for c in top),
+                    "strict", n_by_id[top[0]] > n_by_id[top[1]] > n_by_id[top[2]]),
+    ]
 
 
 def checks_passed(checks: list[CheckResult]) -> bool:

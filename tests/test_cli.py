@@ -517,6 +517,26 @@ class TestPaperVerify:
         failed = [c.name for c in checks if not c.ok]
         assert "screening score B1" in failed
 
+    @pytest.mark.parametrize("constant, table, count", [
+        ("SCORE_TOL", "screening score ", 16),
+        ("ROW_MEAN_TOL", "row geometric mean ", 11),
+        ("TOTAL_TOL", "row-mean total", 1),
+        ("INVERSE_TOL", "inverse total", 1),
+        ("WEIGHT_TOL", "normalized weight ", 11),
+    ])
+    def test_each_tolerance_governs_exactly_its_table(self, monkeypatch, study,
+                                                      constant, table, count):
+        # a negative tolerance fails every check that reads it, and no other
+        from fdahp import verify
+
+        monkeypatch.setattr(verify, constant, -1)
+        checks = verify.run_study_checks(study)
+        failed = [c.name for c in checks if not c.ok]
+        assert len(checks) == 45
+        assert len(failed) == count
+        assert all(name.startswith(table) for name in failed)
+        assert {c.tolerance for c in checks if not c.ok} == {"-1"}
+
 
 class TestFormats:
     def test_markdown_mirrors_weight_rank_layout(self, capsys, exported):

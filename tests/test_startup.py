@@ -15,9 +15,10 @@ import pytest
 SRC = Path(__file__).resolve().parent.parent / "src"
 
 # Stdlib modules that cost start-up time and that fdahp's commands do not need
-# up front; `importlib.resources` is imported only to read the bundled study, and
-# `difflib` only to name the nearest key for an unknown pipeline-config key.
-HEAVY = ["dataclasses", "inspect", "logging", "importlib.resources", "difflib"]
+# up front; `importlib.resources` is imported only to read the bundled study,
+# `difflib` only to name the nearest key for an unknown pipeline-config key, and
+# `fractions` only to decide a score within a few ulps of the mean threshold.
+HEAVY = ["dataclasses", "inspect", "logging", "importlib.resources", "difflib", "fractions"]
 
 
 def python(*argv):
