@@ -15,7 +15,7 @@ from .dataset import load_paper_study, renumber_selected, sequential_renumber_ma
 from .delphi import ThresholdStrategy, get_scale, screen
 from .errors import DatasetError, ValidationError, _located
 from .fahp import run_fahp
-from .io import load_json, read_matrix, read_ratings, write_matrix, write_ratings
+from .io import _known_keys, load_json, read_matrix, read_ratings, write_matrix, write_ratings
 from .report import Report, file_digest
 from .tfn import ValidationMode
 from .verify import checks_passed, format_text, run_study_checks, to_json_dict
@@ -153,16 +153,6 @@ CONFIG_OPTIONS = {
     "mode": (ValidationMode.STRICT, ValidationMode.parse),
     "scale": (None, get_scale),
 }
-
-
-def _known_keys(path: str, where: str, obj: dict, known: tuple[str, ...]) -> None:
-    """Raise for the first key of `obj` not in `known`, naming the nearest known one."""
-    for key in obj:
-        if key not in known:
-            from difflib import get_close_matches  # only on this error path
-            near = get_close_matches(key, known, 1)
-            hint = f" (did you mean {where + near[0]!r}?)" if near else ""
-            raise ValidationError(f"{path}: unknown key {where + key!r}{hint}")
 
 
 def _load_pipeline_config(path: str) -> dict:

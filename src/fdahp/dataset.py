@@ -69,13 +69,8 @@ class PaperStudy(NamedTuple):
 def _parse_study(doc: dict) -> PaperStudy:
     d = doc["delphi"]
     barriers = [Barrier(b["id"], b.get("name", "")) for b in d["barriers"]]
-    experts = list(d["experts"])
-    grid = {
-        (bid, eid): TFN(*t)
-        for bid, triples in d["ratings"].items()
-        for eid, t in zip(experts, triples, strict=True)
-    }
-    panel = RatingPanel(barriers, experts, grid, ValidationMode.STRICT)
+    rows = {bid: [TFN(*t) for t in triples] for bid, triples in d["ratings"].items()}
+    panel = RatingPanel.from_rows(barriers, d["experts"], rows, ValidationMode.STRICT)
 
     exp = d["expected"]
     delphi_expected = ExpectedScreening(

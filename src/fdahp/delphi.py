@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import product
+from itertools import chain, product
 from operator import eq
 from typing import Mapping, NamedTuple, Sequence
 
@@ -106,8 +106,8 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
     Construction validates: missing cells, duplicate ids and negative components always
     raise; unordered cells raise in strict mode and are warnings in lenient mode. A mode
     string is parsed. Ratings keyed barrier by barrier, in barrier then expert order, are
-    validated in bulk; any other order is checked cell by cell. `_replace` validates
-    nothing."""
+    validated in bulk; any other order is checked cell by cell. `from_rows` builds a panel
+    from rows laid out as `rows` is. `_replace` validates nothing."""
 
     __slots__ = ()
 
@@ -131,13 +131,11 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
         if len(set(experts)) != len(experts):
             raise ValidationError("expert ids must be unique")
         n = len(experts)
-        # a barrier-major grid needs no per-cell walk when every cell is exactly a TFN (so it
-        # hashes and unpacks as a tuple) and each distinct cell is ordered and nonnegative
         if len(ratings) == len(ids) * n and all(map(eq, ratings, product(ids, experts))):
             cells = tuple(ratings.values())
-            if {*map(type, cells)} == {TFN} and all(0 <= l <= m <= u for l, m, u in set(cells)):
-                rows = {bid: cells[k * n:k * n + n] for k, bid in enumerate(ids)}
-                return tuple.__new__(cls, (barriers, experts, rows, mode, ()))
+            rows = {bid: cells[k * n:k * n + n] for k, bid in enumerate(ids)}
+            if (panel := cls._bulk(barriers, experts, rows, cells, mode)) is not None:
+                return panel
         rows, warnings = {}, []
         for bid in ids:
             row = []
@@ -162,6 +160,42 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
             extra = set(ratings) - {(b, e) for b in ids for e in experts}
             raise ValidationError(f"panel has ratings for unknown cells: {sorted(extra)}")
         return tuple.__new__(cls, (barriers, experts, rows, mode, tuple(warnings)))
+
+    @classmethod
+    def _bulk(cls, barriers, experts, rows, cells, mode) -> "RatingPanel | None":
+        """The panel of `rows`, one cell per expert for each barrier in order, whose cells in
+        order are `cells`, if no cell needs a walk: distinct, non-empty experts, every cell
+        exactly a TFN (so it hashes and unpacks as a tuple) and each distinct cell ordered
+        and nonnegative; None otherwise."""
+        if (rows and len({*experts}) == len(experts) > 0 and {*map(type, cells)} == {TFN}
+                and all(0 <= l <= m <= u for l, m, u in {*cells})):
+            return tuple.__new__(cls, (barriers, experts, rows, mode, ()))
+        return None
+
+    @classmethod
+    def from_rows(cls, barriers: Sequence[Barrier | str], experts: Sequence[str],
+                  rows: Mapping[str, Sequence[TriangularFuzzyNumber]],
+                  mode: ValidationMode = ValidationMode.STRICT) -> "RatingPanel":
+        """The panel of `rows`: each barrier id, in barrier order, to a list or tuple of its
+        opinions in expert order, stored as a tuple. Other keys or a row of another length
+        raise; cells are checked as the keyed maker checks them, with its errors and warnings."""
+        mode = ValidationMode.parse(mode)
+        barriers, experts = _as_barriers(barriers), tuple(str(e) for e in experts)
+        if len(rows) != len(barriers):
+            raise ValidationError(f"rows for {len(rows)} barriers given, expected {len(barriers)}")
+        for k, (b, (bid, row)) in enumerate(zip(barriers, rows.items())):
+            if bid != b.id:
+                raise ValidationError(f"row {k} is keyed {bid!r}, not barrier {b.id!r}")
+            if not isinstance(row, (list, tuple)):
+                raise ValidationError(f"the row of barrier {bid} is not a list or tuple: {row!r}")
+            if len(row) != len(experts):
+                raise ValidationError(f"barrier {bid} has {len(row)} ratings, not {len(experts)}")
+        rows = {bid: tuple(row) for bid, row in rows.items()}
+        cells = [*chain.from_iterable(rows.values())]
+        if (panel := cls._bulk(barriers, experts, rows, cells, mode)) is not None:
+            return panel
+        keyed = {(bid, e): t for bid, row in rows.items() for e, t in zip(experts, row)}
+        return cls(barriers, experts, keyed, mode)  # names the bad cell, or records warnings
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
         return self.barriers, self.experts, self.ratings, self.mode
@@ -297,13 +331,14 @@ def screen(
     scores = score_barriers(aggregates)
     threshold = compute_threshold(scores, strategy)
     selected = {bid: s >= threshold for bid, s in scores.items()}
-    near = [bid for bid, s in scores.items() if abs(s - threshold) <= 4 * math.ulp(threshold)]
-    if strategy.kind == "mean" and near:
-        from fractions import Fraction  # only on this path: it is slow to import
+    if strategy.kind == "mean":
+        band = 4 * math.ulp(threshold)
+        if near := [bid for bid, s in scores.items() if abs(s - threshold) <= band]:
+            from fractions import Fraction  # only on this path: it is slow to import
 
-        total = sum(map(Fraction, scores.values()))
-        for bid in near:
-            selected[bid] = Fraction(scores[bid]) * len(scores) >= total
+            total = sum(map(Fraction, scores.values()))
+            for bid in near:
+                selected[bid] = Fraction(scores[bid]) * len(scores) >= total
     rows = [
         BarrierScreening(b, aggregates[b.id], scores[b.id], selected[b.id])
         for b in panel.barriers

@@ -18,7 +18,9 @@ an error, never silently dropped. Error messages give the physical line of
 the file (for a quoted field that spans lines, the line on which its row
 ends). A plain integer-rating file (three fields and a line break on every
 line; no quote, NUL or lone CR) is split in bulk, with the same results and
-errors as the row-by-row path.
+errors as the row-by-row path. If it is also barrier-major (each barrier's
+lines together, every barrier listing the same distinct experts in the same
+order), its ratings go to `RatingPanel.from_rows` as rows, never keyed by cell.
 
 JSON schemas:
   ratings: {"scale": ..., "barriers": [...], "experts": [...],
@@ -26,7 +28,9 @@ JSON schemas:
   matrix:  {"criteria": [...], "mode": "strict"|"lenient",
             "cells": [{"row", "col", "tfn": [l, m, u]}]}
 
-Barriers/criteria may be bare id strings or {"id", "name"} objects.
+Barriers/criteria may be bare id strings or {"id", "name"} objects. Any other
+top-level key is an error that names the nearest known one, and a ratings
+record gives either "rating" or "tfn", not both.
 """
 from __future__ import annotations
 
@@ -72,6 +76,16 @@ def load_json(path: str | Path, what: str) -> dict[str, Any]:
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")
     return doc
+
+
+def _known_keys(path: str | Path, where: str, obj: dict, known: tuple[str, ...]) -> None:
+    """Raise for the first key of `obj` not in `known`, naming the nearest known one."""
+    for key in obj:
+        if key not in known:
+            from difflib import get_close_matches  # only on this error path
+            near = get_close_matches(key, known, 1)
+            hint = f" (did you mean {where + near[0]!r}?)" if near else ""
+            raise ValidationError(f"{path}: unknown key {where + key!r}{hint}")
 
 
 def _csv_rows(reader: Any, path: Path) -> Iterator[list[str] | None]:
@@ -177,10 +191,13 @@ def _json_list(path: Path, doc: dict[str, Any], key: str) -> list:
     return items
 
 
-def _plain_int_ratings(path: Path, scale: LinguisticScale) -> tuple | None:
-    """`(grid, barrier ids, expert ids)` of a plain integer-rating CSV file, split in bulk;
-    None for any other file, or for a bad rating or a duplicate cell, which the
-    `csv.reader` loop reads and names by line."""
+def _plain_int_ratings(
+    path: Path, scale: LinguisticScale, mode: ValidationMode
+) -> RatingPanel | None:
+    """The panel of a plain integer-rating CSV file, split in bulk; None for any other
+    file, or for a bad rating or a duplicate cell, which the `csv.reader` loop reads and
+    names by line. A barrier-major file (each barrier's lines together, listing the same
+    distinct experts in the same order) goes to the panel as rows, any other as a grid."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             text = f.read()
@@ -203,8 +220,17 @@ def _plain_int_ratings(path: Path, scale: LinguisticScale) -> tuple | None:
         parsed = {raw: scale.tfn(int(raw)) for raw in set(raws)}
     except ValueError:  # ValidationError included
         return None
+    heads = bids[::(ne := bids.count(bids[0]))]
+    if (eids == eids[:ne] * len(heads) and len({*heads}) == len(heads)
+            and len({*eids[:ne]}) == ne and all(bids[j::ne] == heads for j in range(1, ne))):
+        cells = tuple(map(parsed.__getitem__, raws))
+        rows = {bid: cells[k * ne:k * ne + ne] for k, bid in enumerate(heads)}
+        return _located(path, RatingPanel.from_rows, map(Barrier, heads), eids[:ne], rows, mode)
     grid = dict(zip(zip(bids, eids), map(parsed.__getitem__, raws)))
-    return (grid, bids, eids) if len(grid) == len(raws) else None
+    if len(grid) != len(raws):
+        return None
+    return _located(path, RatingPanel, map(Barrier, dict.fromkeys(bids)), dict.fromkeys(eids),
+                    grid, mode)
 
 
 @_nogc
@@ -218,10 +244,10 @@ def read_ratings(
     fmt = detect_format(path, fmt)
     path = Path(path)
     grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
-    if fmt == "csv" and (bulk := _plain_int_ratings(path, scale or get_scale("delphi-10"))):
-        grid, bids, eids = bulk
-        barriers, experts = map(Barrier, dict.fromkeys(bids)), dict.fromkeys(eids)
-    elif fmt == "csv":
+    if fmt == "csv" and (
+            panel := _plain_int_ratings(path, scale or get_scale("delphi-10"), mode)) is not None:
+        return panel
+    if fmt == "csv":
         with open(path, newline="", encoding="utf-8-sig") as f:
             rows = _csv_rows(reader := csv.reader(f), path)
             header = next(rows)
@@ -259,6 +285,7 @@ def read_ratings(
         barriers, experts = map(Barrier, dict.fromkeys(bids)), dict.fromkeys(eids)
     else:
         doc = load_json(path, "ratings file")
+        _known_keys(path, "", doc, ("scale", "barriers", "experts", "ratings"))
         barriers = _parse_barrier_list(f"{path} barriers", _json_list(path, doc, "barriers"))
         experts = [str(e) for e in _json_list(path, doc, "experts")]
         entries = _json_list(path, doc, "ratings")
@@ -270,6 +297,8 @@ def read_ratings(
                 if key in grid:
                     raise ValidationError(f"duplicate rating for {key}")
                 if "tfn" in rec:
+                    if "rating" in rec:
+                        raise ValidationError("give either 'rating' or 'tfn', not both")
                     grid[key] = _json_tfn(rec["tfn"])
                 elif "rating" in rec:
                     if type(rating := rec["rating"]) is not int:
@@ -308,6 +337,7 @@ def read_matrix(
         mode = mode or ValidationMode.STRICT
     else:
         doc = load_json(path, "matrix file")
+        _known_keys(path, "", doc, ("criteria", "mode", "cells"))
         criteria = _parse_barrier_list(f"{path} criteria", _json_list(path, doc, "criteria"))
         cells = _json_list(path, doc, "cells")
         if mode is None:

@@ -251,6 +251,46 @@ class TestPanelRecord:
         assert panel._replace(rows={}).rows == {}
 
 
+class TestFromRows:
+    """`RatingPanel.from_rows` takes rows laid out as a panel stores them."""
+
+    ROWS = {"A": [TFN(1, 2, 3), TFN(2, 3, 4)], "B": [TFN(4, 5, 6), TFN(0, 0, 1)]}
+
+    def test_equals_the_keyed_maker_and_stores_tuples(self):
+        panel = RatingPanel.from_rows(["A", "B"], ["E1", "E2"], self.ROWS, "lenient")
+        assert panel == make_panel(self.ROWS, mode=ValidationMode.LENIENT)
+        assert all(type(row) is tuple for row in panel.rows.values())
+
+    @pytest.mark.parametrize("rows, message", [
+        ({"A": [TFN(1, 2, 3)], "B": [TFN(4, 5, 6), TFN(0, 0, 1)]},
+         "barrier A has 1 ratings, not 2"),
+        ({"A": ROWS["A"], "B": [*ROWS["B"], TFN(1, 1, 1)]}, "barrier B has 3 ratings, not 2"),
+        ({"B": ROWS["B"], "A": ROWS["A"]}, "row 0 is keyed 'B', not barrier 'A'"),
+        ({"A": ROWS["A"], "C": ROWS["B"]}, "row 1 is keyed 'C', not barrier 'B'"),
+        ({"A": ROWS["A"]}, "rows for 1 barriers given, expected 2"),
+        ({**ROWS, "C": ROWS["A"]}, "rows for 3 barriers given, expected 2"),
+        ({"A": ROWS["A"], "B": 5}, "the row of barrier B is not a list or tuple: 5"),
+        ({"A": ROWS["A"], "B": "xy"}, "the row of barrier B is not a list or tuple: 'xy'"),
+    ], ids=["short row", "long row", "out of order", "unknown key", "missing row", "extra row",
+            "number row", "text row"])
+    def test_wrong_shape_raises(self, rows, message):
+        with pytest.raises(ValidationError) as exc:
+            RatingPanel.from_rows(["A", "B"], ["E1", "E2"], rows)
+        assert str(exc.value) == message
+
+    def test_a_bad_cell_is_named_as_the_keyed_maker_names_it(self):
+        rows = {"A": self.ROWS["A"], "B": [TFN(4, 5, 6), TFN(3, 2, 4)]}
+        with pytest.raises(ValidationError) as exc:
+            RatingPanel.from_rows(["A", "B"], ["E1", "E2"], rows)
+        assert str(exc.value) == "rating (B, E2) = (3, 2, 4) is not ordered l <= m <= u"
+        panel = RatingPanel.from_rows(["A", "B"], ["E1", "E2"], rows, ValidationMode.LENIENT)
+        assert [w.location for w in panel.warnings] == ["(B, E2)"]
+
+    def test_repeated_experts_raise_as_for_the_keyed_maker(self):
+        with pytest.raises(ValidationError, match="expert ids must be unique"):
+            RatingPanel.from_rows(["A", "B"], ["E1", "E1"], self.ROWS)
+
+
 class TestAggregateAndScore:
     def test_study_rows(self, study):
         agg = aggregate_panel(study.delphi_panel)

@@ -7,7 +7,7 @@ from functools import partial
 import pytest
 
 import fdahp.io
-from fdahp import TFN, ValidationError
+from fdahp import TFN, RatingPanel, ValidationError
 from fdahp.io import detect_format, read_matrix, read_ratings, write_matrix, write_ratings
 from fdahp.tfn import ValidationMode
 from helpers import cell, collections_inside
@@ -224,6 +224,64 @@ class TestRatingsCsv:
         assert (panel.barrier_ids, panel.experts) == (["B", "A"], ("E2", "E1"))
         assert panel.row("A") == (TFN(10, 10, 10), TFN(3, 4, 5))
 
+    @staticmethod
+    def _large(tmp_path, name, barrier_major):
+        """A 400 x 25 plain integer-rating file, given barrier by barrier or expert by expert."""
+        keys = [(f"P{b}", f"E{e}") for b in range(1, 401) for e in range(1, 26)]
+        if not barrier_major:
+            keys.sort(key=lambda key: int(key[1][1:]))
+        lines = [f"{b},{e},{1 + (int(b[1:]) * int(e[1:])) % 10}" for b, e in keys]
+        return write(tmp_path, name, "\n".join(["barrier_id,expert_id,rating", *lines, ""]))
+
+    def test_a_barrier_major_file_never_calls_the_keyed_maker(self, tmp_path, monkeypatch):
+        barrier_major = self._large(tmp_path, "b.csv", True)
+        expert_major = self._large(tmp_path, "e.csv", False)
+        want = read_ratings(expert_major)
+        calls, keyed = [], RatingPanel.__new__
+
+        def counted(cls, *args):
+            calls.append(args)
+            return keyed(cls, *args)
+
+        monkeypatch.setattr(RatingPanel, "__new__", counted)
+        assert read_ratings(barrier_major) == want and calls == []
+        assert read_ratings(expert_major) == want and len(calls) == 1  # the wrapper counts
+
+    def test_an_expert_major_plain_file_is_split_in_bulk(self, tmp_path, monkeypatch):
+        p = self._large(tmp_path, "e.csv", False)
+        with monkeypatch.context() as m:
+            m.setattr(fdahp.io, "_plain_int_ratings", lambda *args: None)
+            want = read_ratings(p, mode="lenient")  # the csv.reader loop
+        monkeypatch.setattr(fdahp.io, "_csv_rows", None)  # the row-by-row reader is not used
+        got = read_ratings(p, mode="lenient")
+        assert got == want
+        assert (got.barrier_ids[:2], got.experts[:2]) == (["P1", "P2"], ("E1", "E2"))
+
+    @pytest.mark.parametrize("body, message", [
+        ("A,E1,5\nA,E2,6\nA,E1,7\nB,E1,5\nB,E2,6\nB,E1,7\n",
+         "line 4: duplicate rating for (A, E1)"),
+        ("A,E1,5\nA,E1,6\nB,E1,5\nB,E1,6\n", "line 3: duplicate rating for (A, E1)"),
+        ("A,E1,5\nA,E2,6\nB,E1,5\nB,E2,6\nC,E1,5\nC,E2,6\nB,E1,7\nB,E2,8\n",
+         "line 8: duplicate rating for (B, E1)"),
+    ], ids=["expert", "only expert", "barrier block"])
+    def test_a_repeated_expert_or_block_names_its_line(self, tmp_path, body, message):
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\n" + body)
+        with pytest.raises(ValidationError) as exc:
+            read_ratings(p)
+        assert str(exc.value) == f"{p} {message}"
+
+    # each expert list repeats and the block heads are distinct, but a block mixes barriers
+    @pytest.mark.parametrize("body, row_b", [
+        ("A,E1,1\nB,E2,2\nB,E1,3\nA,E2,4\n", (TFN(2, 3, 4), TFN(1, 2, 3))),
+        ("A,E1,1\nA,E2,2\nB,E1,3\nC,E2,4\nC,E1,5\nB,E2,6\n", (TFN(2, 3, 4), TFN(5, 6, 7))),
+    ], ids=["two barriers", "three barriers"])
+    def test_interleaved_barriers_are_keyed_by_cell(self, tmp_path, monkeypatch, body, row_b):
+        p = write(tmp_path, "r.csv", "barrier_id,expert_id,rating\n" + body)
+        got = read_ratings(p)
+        assert got.row("B") == row_b
+        monkeypatch.setattr(fdahp.io, "_plain_int_ratings", lambda *args: None)
+        assert got == read_ratings(p)  # the csv.reader loop
+
     def test_incomplete_grid(self, tmp_path):
         p = write(
             tmp_path, "r.csv", "barrier_id,expert_id,rating\nA,E1,5\nB,E2,6\n"
@@ -361,12 +419,16 @@ class TestRatingsJson:
          "tfn must be a numeric [l, m, u] triple"),
         ({"barrier_id": "B", "expert_id": "E1", "tfn": "1,2,3"},
          "tfn must be a numeric [l, m, u] triple"),
-        ({"barrier_id": "B", "expert_id": "E1", "tfn": [1.0, None, 3.0], "rating": 5},
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": [1.0, None, 3.0]},
          "tfn must be a numeric [l, m, u] triple"),
         ({"barrier_id": "B", "expert_id": "E1", "tfn": [1.0, 2.0, float("nan")]},
          "TFN component u must be finite, got nan"),
         ({"barrier_id": "B", "expert_id": "E1", "tfn": [10 ** 400, 2.0, 3.0]},
          "TFN component l must be finite, got an integer too large for a float"),
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": [1, 2, 3], "rating": 9},
+         "give either 'rating' or 'tfn', not both"),
+        ({"barrier_id": "B", "expert_id": "E1", "tfn": [1.0, None, 3.0], "rating": 5},
+         "give either 'rating' or 'tfn', not both"),
     ])
     def test_record_error_text(self, tmp_path, rec, message):
         doc = {"barriers": ["A", "B"], "experts": ["E1"],
@@ -377,11 +439,10 @@ class TestRatingsJson:
         assert str(exc.value) == f"{p} ratings[1]: {message}"
 
     def test_records_the_fast_path_leaves_alone(self, tmp_path):
-        # int and non-str ids, int components, and a "tfn" that wins over a bad rating
+        # int and non-str ids, and int components
         doc = {"barriers": ["1", "B", "None"], "experts": ["True"],
                "ratings": [{"barrier_id": 1, "expert_id": True, "rating": 7},
-                           {"barrier_id": "B", "expert_id": "True", "tfn": [1, 2, 3],
-                            "rating": "x"},
+                           {"barrier_id": "B", "expert_id": "True", "tfn": [1, 2, 3]},
                            {"barrier_id": None, "expert_id": "True", "tfn": [0.5, 1, 2.5]}]}
         p = write(tmp_path, "r.json", json.dumps(doc))
         panel = read_ratings(p)
@@ -571,6 +632,27 @@ READERS = [
 
 def _reader_id(x):
     return f"{x.func.__name__}_{x.keywords['fmt']}" if isinstance(x, partial) else None
+
+
+# a misspelled or unknown top-level key raises, naming the nearest known key if any
+@pytest.mark.parametrize("reader, doc, message", [
+    (read_ratings, {"sclae": "delphi-10", "barriers": ["A"], "experts": ["E1"],
+                    "ratings": [{"barrier_id": "A", "expert_id": "E1", "rating": 7}]},
+     "unknown key 'sclae' (did you mean 'scale'?)"),
+    (read_ratings, {"barriers": ["A"], "experts": ["E1"], "ratings": [], "note": "x"},
+     "unknown key 'note'"),
+    (read_matrix, {"criteria": ["A", "B"], "mdoe": "lenient",
+                   "cells": [{"row": "A", "col": "B", "tfn": [2, 3, 4]},
+                             {"row": "B", "col": "A", "tfn": [1, 2, 3]}]},
+     "unknown key 'mdoe' (did you mean 'mode'?)"),
+    (read_matrix, {"criteria": ["A"], "cells": [], "cell": []},
+     "unknown key 'cell' (did you mean 'cells'?)"),
+], ids=["ratings, near", "ratings, far", "matrix, near", "matrix, one letter off"])
+def test_json_unknown_key_is_named(tmp_path, reader, doc, message):
+    p = write(tmp_path, "d.json", json.dumps(doc))
+    with pytest.raises(ValidationError) as exc:
+        reader(p)
+    assert str(exc.value) == f"{p}: {message}"
 
 
 class TestCollectorPause:

@@ -338,11 +338,10 @@ RATING_MISSES = st.sampled_from([True, 5.0, 7.0, "5", None, 11, [5], {}])
 SPOILED = st.tuples(ORDERED, st.integers(0, 2), COMPONENT_MISSES).map(
     lambda a: [*a[0][:a[1]], a[2], *a[0][a[1] + 1:]]
 )
-# valid "tfn" or "rating" fields; a "tfn" wins over a bad "rating"
+# a valid "tfn" or "rating" field; an edit may give a record both, which raises
 RATING_VALUES = st.one_of(
     st.fixed_dictionaries({"tfn": ORDERED}),
     st.fixed_dictionaries({"rating": st.integers(1, 10)}),
-    st.fixed_dictionaries({"tfn": ORDERED, "rating": SCALARS}),
 )
 
 
@@ -414,6 +413,8 @@ def reference_ratings_json(path, mode):
         key = (str(rec["barrier_id"]), str(rec["expert_id"]))
         if key in grid:
             raise ValidationError(f"{where}: duplicate rating for {key}")
+        if "tfn" in rec and "rating" in rec:
+            raise ValidationError(f"{where}: give either 'rating' or 'tfn', not both")
         if "tfn" in rec:
             grid[key] = _tfn(where, rec["tfn"])
         elif "rating" in rec:

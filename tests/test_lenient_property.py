@@ -6,7 +6,9 @@ both modes raise: an auto-fill source with a nonpositive component or an
 overflowing reciprocal, and a checked pair whose reciprocal overflows. Strict
 mode raises at the first problem that lenient mode records. In either mode,
 `RatingPanel` over any key order, with or without bad cells and keys, gives
-the rows, warnings or error of a check of one cell at a time."""
+the rows, warnings or error of a check of one cell at a time, and
+`RatingPanel.from_rows` over the same grid, given as rows, gives the same
+panel or error as `RatingPanel` over the keyed grid."""
 import math
 import operator
 import sys
@@ -14,7 +16,7 @@ import sys
 import pytest
 
 pytest.importorskip("hypothesis")
-from hypothesis import example, given, settings  # noqa: E402
+from hypothesis import assume, example, given, settings  # noqa: E402
 from hypothesis import strategies as st  # noqa: E402
 
 from fdahp import (  # noqa: E402
@@ -248,3 +250,19 @@ def test_panel_matches_the_cell_walk(drawn, mode):
     panel = RatingPanel(bids, eids, ratings, mode)
     assert (panel.rows, panel.warnings) == want and panel.mode is mode
     assert all(map(operator.is_, sum(panel.rows.values(), ()), sum(want[0].values(), ())))
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(panels(defects=True), st.sampled_from([STRICT, LENIENT]))
+@example((["A"], ["E1", "E2"], {**_ROW, ("A", "E2"): None}), STRICT)
+@example((["A"], ["E1", "E2"], {**_ROW, ("A", "E2"): _SubTFN(2, 3, 4)}), LENIENT)
+@example((["A"], ["E1", "E2"], {**_ROW, ("A", "E2"): TFN(3, 2, 4)}), LENIENT)
+def test_from_rows_matches_the_keyed_maker(drawn, mode):
+    bids, eids, ratings = drawn
+    assume(list(ratings) == [(b, e) for b in bids for e in eids])  # barrier-major draws
+    rows = {b: [ratings[b, e] for e in eids] for b in bids}
+    got = _outcome(RatingPanel.from_rows, bids, eids, rows, mode)
+    want = _outcome(RatingPanel, bids, eids, ratings, mode)
+    assert got == want
+    if isinstance(want, RatingPanel):
+        assert all(map(operator.is_, sum(got.rows.values(), ()), sum(want.rows.values(), ())))
