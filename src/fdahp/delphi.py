@@ -119,17 +119,8 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
         mode: ValidationMode = ValidationMode.STRICT,
     ) -> "RatingPanel":
         mode = ValidationMode.parse(mode)
-        barriers = _as_barriers(barriers)
-        experts = tuple(str(e) for e in experts)
-        if not barriers:
-            raise ValidationError("panel needs at least one barrier")
-        if not experts:
-            raise ValidationError("panel needs at least one expert")
-        ids = [b.id for b in barriers]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("barrier ids must be unique")
-        if len(set(experts)) != len(experts):
-            raise ValidationError("expert ids must be unique")
+        barriers, experts = _as_barriers(barriers), tuple(str(e) for e in experts)
+        ids = cls._ids(barriers, experts)
         n = len(experts)
         if len(ratings) == len(ids) * n and all(map(eq, ratings, product(ids, experts))):
             cells = tuple(ratings.values())
@@ -161,14 +152,27 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
             raise ValidationError(f"panel has ratings for unknown cells: {sorted(extra)}")
         return tuple.__new__(cls, (barriers, experts, rows, mode, tuple(warnings)))
 
+    @staticmethod
+    def _ids(barriers, experts) -> list[str]:
+        """The barrier ids; both makers raise here on no barrier, no expert or a repeated id."""
+        if not barriers:
+            raise ValidationError("panel needs at least one barrier")
+        if not experts:
+            raise ValidationError("panel needs at least one expert")
+        ids = [b.id for b in barriers]
+        if len(set(ids)) != len(ids):
+            raise ValidationError("barrier ids must be unique")
+        if len(set(experts)) != len(experts):
+            raise ValidationError("expert ids must be unique")
+        return ids
+
     @classmethod
     def _bulk(cls, barriers, experts, rows, cells, mode) -> "RatingPanel | None":
         """The panel of `rows`, one cell per expert for each barrier in order, whose cells in
-        order are `cells`, if no cell needs a walk: distinct, non-empty experts, every cell
-        exactly a TFN (so it hashes and unpacks as a tuple) and each distinct cell ordered
-        and nonnegative; None otherwise."""
-        if (rows and len({*experts}) == len(experts) > 0 and {*map(type, cells)} == {TFN}
-                and all(0 <= l <= m <= u for l, m, u in {*cells})):
+        order are `cells`, if no cell needs a walk: every cell exactly a TFN (so it hashes
+        and unpacks as a tuple) and each distinct cell ordered and nonnegative; None
+        otherwise. Both makers have checked the ids with `_ids`."""
+        if {*map(type, cells)} == {TFN} and all(0 <= l <= m <= u for l, m, u in {*cells}):
             return tuple.__new__(cls, (barriers, experts, rows, mode, ()))
         return None
 
@@ -181,6 +185,7 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
         raise; cells are checked as the keyed maker checks them, with its errors and warnings."""
         mode = ValidationMode.parse(mode)
         barriers, experts = _as_barriers(barriers), tuple(str(e) for e in experts)
+        cls._ids(barriers, experts)  # as the keyed maker checks them, before any row
         if len(rows) != len(barriers):
             raise ValidationError(f"rows for {len(rows)} barriers given, expected {len(barriers)}")
         for k, (b, (bid, row)) in enumerate(zip(barriers, rows.items())):

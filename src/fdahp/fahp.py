@@ -102,17 +102,18 @@ def build_matrix(
     # lower cell is auto-filled as the exact reciprocal, or auto-fill raises
     pairs: list[list[int]] = [[] for _ in range(n)]
     ordered = True  # every given cell is ordered
-    get = index.get
     for row_id, col_id, t in entries:
-        if (i := get(row_id)) is None:
-            raise ValidationError(f"entry row id {row_id!r} is not a known criterion")
-        if (j := get(col_id)) is None:
-            raise ValidationError(f"entry col id {col_id!r} is not a known criterion")
-        if grid[i][j] is not None:
+        try:  # only the lookups: a KeyError from `entries` itself propagates as it is
+            i, j = index[row_id], index[col_id]
+        except KeyError:
+            side, cid = ("col", col_id) if row_id in index else ("row", row_id)
+            raise ValidationError(f"entry {side} id {cid!r} is not a known criterion") from None
+        if (row := grid[i])[j] is not None:
             raise ValidationError(f"duplicate entry for cell ({row_id},{col_id})")
-        grid[i][j] = t = t if isinstance(t, TFN) else _as_tfn(f"entry ({row_id},{col_id})", t)
+        row[j] = t = t if isinstance(t, TFN) else _as_tfn(f"entry ({row_id},{col_id})", t)
         l, m, u = t
-        ordered &= l <= m <= u
+        if not l <= m <= u:
+            ordered = False
         if i > j:
             pairs[j].append(i)
     if not n:

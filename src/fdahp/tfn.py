@@ -9,6 +9,7 @@ from __future__ import annotations
 import math
 from collections import namedtuple
 from enum import Enum
+from itertools import starmap
 from typing import Iterable, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -159,8 +160,9 @@ def geometric_mean(values: Sequence[float]) -> float:
 def _geometric_mean(vals: tuple[float, ...]) -> float:
     """`geometric_mean` of a non-empty tuple of floats, which it neither copies nor checks.
     It scans `vals` for one clamp bound only when the mean lies beyond both end values."""
+    # `log` takes *args, so `map` would pack a 1-tuple per value; `zip` reuses its own
     try:
-        g = math.exp(math.fsum(map(math.log, vals)) / len(vals))
+        g = math.exp(math.fsum(starmap(math.log, zip(vals))) / len(vals))
     except ValueError:  # log of a zero or negative factor
         g = math.nan
     a, b = vals[0], vals[-1]
@@ -176,7 +178,7 @@ def _geometric_mean(vals: tuple[float, ...]) -> float:
             first = next(v for v in vals if v < 0)
             raise ValidationError(f"geometric mean requires nonnegative values, got {first}")
         return vals[0] if len(vals) == 1 else 0.0  # a single factor is itself, -0.0 included
-    g = math.exp(math.fsum(map(math.log, vals)) / len(vals))
+    g = math.exp(math.fsum(starmap(math.log, zip(vals))) / len(vals))
     return min(max(g, lo), max(vals))
 
 

@@ -290,6 +290,19 @@ class TestFromRows:
         with pytest.raises(ValidationError, match="expert ids must be unique"):
             RatingPanel.from_rows(["A", "B"], ["E1", "E1"], self.ROWS)
 
+    @pytest.mark.parametrize("barriers, experts, rows, message", [
+        (["A", "A"], ["E1"], {"A": [TFN(1, 2, 3)]}, "barrier ids must be unique"),
+        (["A", "A"], [], {"A": []}, "panel needs at least one expert"),
+        (["A"], ["E1", "E1"], {"A": [TFN(1, 2, 3)]}, "expert ids must be unique"),
+        ([], ["E1"], {"A": [TFN(1, 2, 3)]}, "panel needs at least one barrier"),
+    ], ids=["repeated barrier", "no expert", "repeated expert, short row", "no barrier"])
+    def test_ids_are_checked_before_the_rows(self, barriers, experts, rows, message):
+        keyed = {(bid, e): t for bid, row in rows.items() for e, t in zip(experts, row)}
+        for make in (RatingPanel.from_rows, lambda b, e, _: RatingPanel(b, e, keyed)):
+            with pytest.raises(ValidationError) as exc:
+                make(barriers, experts, rows)
+            assert str(exc.value) == message
+
 
 class TestAggregateAndScore:
     def test_study_rows(self, study):

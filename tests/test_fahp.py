@@ -216,6 +216,45 @@ class TestBuildMatrix:
         )
         assert cell(m, "B", "A") == TFN(0.125, 0.147, 0.17)
 
+    @pytest.mark.parametrize("entry, message", [
+        (("X", "Y", (1, 2)), "entry row id 'X' is not a known criterion"),
+        (("X", "B", TFN(1, 2, 3)), "entry row id 'X' is not a known criterion"),
+        (("A", "Y", (1, 2)), "entry col id 'Y' is not a known criterion"),
+        (("A", "B", (1, 2)), "entry (A,B): expected an (l, m, u) triple, got (1, 2)"),
+        (("A", "B", TFN(1, 2, 3)), "duplicate entry for cell (A,B)"),
+        (("A", "B", (1, 2)), "duplicate entry for cell (A,B)"),
+    ], ids=["row before col", "unknown row", "unknown col", "bad triple", "duplicate",
+            "duplicate before its triple"])
+    def test_the_first_failing_check_of_an_entry_is_named(self, entry, message):
+        given = [("A", "B", TFN(2, 3, 4))] if message.startswith("duplicate") else []
+        for mode in ValidationMode:
+            with pytest.raises(ValidationError) as exc:
+                build_matrix([*given, entry], ["A", "B"], mode)
+            assert str(exc.value) == message
+            assert exc.value.__suppress_context__ or exc.value.__context__ is None
+
+    @pytest.mark.parametrize("later", [False, True], ids=["first item", "later item"])
+    def test_a_key_error_from_the_entries_propagates_as_it_is(self, later):
+        raised = KeyError("A")
+
+        def entries():
+            if later:
+                yield "A", "B", TFN(2, 3, 4)
+            raise raised
+
+        with pytest.raises(KeyError) as exc:
+            build_matrix(entries(), ["A", "B"])
+        assert exc.value is raised
+
+    def test_a_tfn_subclass_cell_is_stored_as_given(self):
+        class Judgment(TFN):
+            __slots__ = ()
+
+        given = Judgment(2, 3, 4)
+        m = build_matrix([("A", "B", given)], ["A", "B"])
+        assert m.cells[0][1] is given
+        assert type(m.cells[1][0]) is TFN
+
     def test_study_rows_survive_the_build(self, study):
         m = study.fahp_matrix
         entries = [

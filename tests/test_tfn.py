@@ -7,6 +7,7 @@ functions under test.
 import copy
 import math
 import pickle
+import random
 import sys
 from decimal import Decimal
 from fractions import Fraction
@@ -17,6 +18,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from fdahp import (
+    DELPHI_10,
     TFN,
     ValidationError,
     ValidationMode,
@@ -27,6 +29,7 @@ from fdahp import (
     tfn_reciprocal,
 )
 from fdahp.tfn import _geometric_mean
+from helpers import SAATY_9
 
 
 def test_tfn_rejects_non_finite():
@@ -237,6 +240,14 @@ def _outcome(kernel, values):
         return type(exc), str(exc)
 
 
+# rows as long as the workloads' (Hypothesis draws at most 12 values): a row of an n = 150
+# matrix, fuzzy Saaty components and their 1/x mirrors, and a 400 x 25 panel's 25 modals
+_rng = random.Random(24)
+_SAATY_ROW = [x if _rng.random() < 0.5 else 1.0 / x
+              for x in (float(_rng.choice(SAATY_9[_rng.randint(1, 9)])) for _ in range(150))]
+_MODAL_ROW = [float(DELPHI_10.entries[_rng.randint(2, 10)].m) for _ in range(25)]
+
+
 @st.composite
 def _near_equal(draw):
     base = draw(st.floats(min_value=5e-324, max_value=sys.float_info.max))
@@ -263,6 +274,8 @@ def _near_equal(draw):
 @example([1.0, float("inf")])
 @example([2.0, float("-inf"), float("nan")])  # the first non-finite value is named
 @example([sys.float_info.max] * 2)
+@example(_SAATY_ROW)
+@example(_MODAL_ROW)
 def test_geometric_mean_matches_reference_bitwise(values):
     vals = tuple(map(float, values))
     bad = next((v for v in vals if not math.isfinite(v)), None)
