@@ -101,9 +101,11 @@ def _emit_report(
     output: str | None = None, **results,
 ) -> int:
     """Digest every input file ({name: path}), build the report from `results`
-    and write it; `--emit` and `--output` win over `emit` and `output`."""
+    and write it; `--emit` and `--output` win over `emit` and `output`. A path's
+    bytes that are not UTF-8 are shown as backslash escapes, such as `\\xff`."""
     report = Report.build(
-        inputs={name: {"path": str(path), "sha256": file_digest(path)}
+        inputs={name: {"path": str(path).encode("utf-8", "surrogateescape")
+                       .decode("utf-8", "backslashreplace"), "sha256": file_digest(path)}
                 for name, path in inputs.items()},
         timing_ms=(time.perf_counter() - t0) * 1000 if args.timing else None,
         **results,

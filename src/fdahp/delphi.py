@@ -9,8 +9,7 @@ from __future__ import annotations
 
 import math
 from collections import namedtuple
-from itertools import chain, product
-from operator import eq
+from itertools import chain, product, repeat
 from typing import Mapping, NamedTuple, Sequence
 
 from .errors import ValidationError
@@ -88,6 +87,7 @@ DELPHI_10 = LinguisticScale(
 )
 
 SCALES: dict[str, LinguisticScale] = {DELPHI_10.name: DELPHI_10}
+_MISSING = object()  # the keyed maker's cell for a (barrier, expert) key its ratings lack
 
 
 def get_scale(name: str) -> LinguisticScale:
@@ -105,9 +105,9 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
 
     Construction validates: missing cells, duplicate ids and negative components always
     raise; unordered cells raise in strict mode and are warnings in lenient mode. A mode
-    string is parsed. Ratings keyed barrier by barrier, in barrier then expert order, are
-    validated in bulk; any other order is checked cell by cell. `from_rows` builds a panel
-    from rows laid out as `rows` is. `_replace` validates nothing."""
+    string is parsed. Ratings in any key order are validated in bulk, and cell by cell
+    only when the bulk check fails. `from_rows` builds a panel from rows laid out as
+    `rows` is. `_replace` validates nothing."""
 
     __slots__ = ()
 
@@ -118,22 +118,45 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
         ratings: Mapping[tuple[str, str], TriangularFuzzyNumber],
         mode: ValidationMode = ValidationMode.STRICT,
     ) -> "RatingPanel":
+        barriers, experts, ids, mode = cls._head(barriers, experts, mode)
+        cells = tuple(map(ratings.get, product(ids, experts), repeat(_MISSING)))
+        n = len(experts)
+        rows = {bid: cells[k * n:k * n + n] for k, bid in enumerate(ids)}
+        panel = cls._checked(barriers, experts, ids, rows, cells, mode)
+        # every expected cell is present, so any other key makes the dict larger
+        if len(ratings) != len(cells):
+            extra = set(ratings).difference(product(ids, experts))
+            raise ValidationError(f"panel has ratings for unknown cells: {sorted(extra)}")
+        return panel
+
+    @staticmethod
+    def _head(barriers, experts, mode) -> tuple:
+        """(barriers, experts, barrier ids, mode), normalised and parsed; both makers raise
+        here on no barrier, no expert or a repeated id."""
         mode = ValidationMode.parse(mode)
         barriers, experts = _as_barriers(barriers), tuple(str(e) for e in experts)
-        ids = cls._ids(barriers, experts)
-        n = len(experts)
-        if len(ratings) == len(ids) * n and all(map(eq, ratings, product(ids, experts))):
-            cells = tuple(ratings.values())
-            rows = {bid: cells[k * n:k * n + n] for k, bid in enumerate(ids)}
-            if (panel := cls._bulk(barriers, experts, rows, cells, mode)) is not None:
-                return panel
-        rows, warnings = {}, []
-        for bid in ids:
-            row = []
-            for eid in experts:
-                cell = ratings.get((bid, eid))
+        if not barriers:
+            raise ValidationError("panel needs at least one barrier")
+        if not experts:
+            raise ValidationError("panel needs at least one expert")
+        ids = [b.id for b in barriers]
+        if len(set(ids)) != len(ids):
+            raise ValidationError("barrier ids must be unique")
+        if len(set(experts)) != len(experts):
+            raise ValidationError("expert ids must be unique")
+        return barriers, experts, ids, mode
+
+    @classmethod
+    def _checked(cls, barriers, experts, ids, rows, cells, mode) -> "RatingPanel":
+        """The panel of `rows`, whose cells in barrier then expert order are `cells`. Every
+        cell exactly a TFN (so it hashes and unpacks as a tuple) with each distinct cell
+        ordered and nonnegative passes in bulk; any other grid is walked cell by cell, and
+        the first bad cell raises, `_MISSING` as a missing rating."""
+        warnings = []
+        if not ({*map(type, cells)} == {TFN} and all(0 <= l <= m <= u for l, m, u in {*cells})):
+            for (bid, eid), cell in zip(product(ids, experts), cells):
                 if not isinstance(cell, TriangularFuzzyNumber):
-                    if (bid, eid) not in ratings:
+                    if cell is _MISSING:
                         raise ValidationError(f"panel is missing the rating for ({bid}, {eid})")
                     raise ValidationError(f"rating ({bid}, {eid}) = {cell!r} is not a TFN")
                 l, m, u = cell
@@ -144,37 +167,7 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
                     if mode is ValidationMode.STRICT:
                         raise ValidationError(f"rating {loc} = {unordered}")
                     warnings.append(ValidationWarning("non_monotone", loc, f"rating {unordered}"))
-                row.append(cell)
-            rows[bid] = tuple(row)
-        # every expected cell is present, so any other key makes the dict larger
-        if len(ratings) != len(ids) * len(experts):
-            extra = set(ratings) - {(b, e) for b in ids for e in experts}
-            raise ValidationError(f"panel has ratings for unknown cells: {sorted(extra)}")
         return tuple.__new__(cls, (barriers, experts, rows, mode, tuple(warnings)))
-
-    @staticmethod
-    def _ids(barriers, experts) -> list[str]:
-        """The barrier ids; both makers raise here on no barrier, no expert or a repeated id."""
-        if not barriers:
-            raise ValidationError("panel needs at least one barrier")
-        if not experts:
-            raise ValidationError("panel needs at least one expert")
-        ids = [b.id for b in barriers]
-        if len(set(ids)) != len(ids):
-            raise ValidationError("barrier ids must be unique")
-        if len(set(experts)) != len(experts):
-            raise ValidationError("expert ids must be unique")
-        return ids
-
-    @classmethod
-    def _bulk(cls, barriers, experts, rows, cells, mode) -> "RatingPanel | None":
-        """The panel of `rows`, one cell per expert for each barrier in order, whose cells in
-        order are `cells`, if no cell needs a walk: every cell exactly a TFN (so it hashes
-        and unpacks as a tuple) and each distinct cell ordered and nonnegative; None
-        otherwise. Both makers have checked the ids with `_ids`."""
-        if {*map(type, cells)} == {TFN} and all(0 <= l <= m <= u for l, m, u in {*cells}):
-            return tuple.__new__(cls, (barriers, experts, rows, mode, ()))
-        return None
 
     @classmethod
     def from_rows(cls, barriers: Sequence[Barrier | str], experts: Sequence[str],
@@ -183,9 +176,7 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
         """The panel of `rows`: each barrier id, in barrier order, to a list or tuple of its
         opinions in expert order, stored as a tuple. Other keys or a row of another length
         raise; cells are checked as the keyed maker checks them, with its errors and warnings."""
-        mode = ValidationMode.parse(mode)
-        barriers, experts = _as_barriers(barriers), tuple(str(e) for e in experts)
-        cls._ids(barriers, experts)  # as the keyed maker checks them, before any row
+        barriers, experts, ids, mode = cls._head(barriers, experts, mode)  # before any row
         if len(rows) != len(barriers):
             raise ValidationError(f"rows for {len(rows)} barriers given, expected {len(barriers)}")
         for k, (b, (bid, row)) in enumerate(zip(barriers, rows.items())):
@@ -197,10 +188,7 @@ class RatingPanel(namedtuple("RatingPanel", "barriers experts rows mode warnings
                 raise ValidationError(f"barrier {bid} has {len(row)} ratings, not {len(experts)}")
         rows = {bid: tuple(row) for bid, row in rows.items()}
         cells = [*chain.from_iterable(rows.values())]
-        if (panel := cls._bulk(barriers, experts, rows, cells, mode)) is not None:
-            return panel
-        keyed = {(bid, e): t for bid, row in rows.items() for e, t in zip(experts, row)}
-        return cls(barriers, experts, keyed, mode)  # names the bad cell, or records warnings
+        return cls._checked(barriers, experts, ids, rows, cells, mode)
 
     def __getnewargs__(self):  # copy and pickle rebuild through __new__
         return self.barriers, self.experts, self.ratings, self.mode

@@ -16,11 +16,12 @@ rest of the header must match exactly; blank lines are skipped. Every field
 named by the header must be non-empty. A non-empty field beyond the header is
 an error, never silently dropped. Error messages give the physical line of
 the file (for a quoted field that spans lines, the line on which its row
-ends). A plain integer-rating file (three fields and a line break on every
-line; no quote, NUL or lone CR) is split in bulk, with the same results and
-errors as the row-by-row path. If it is also barrier-major (each barrier's
-lines together, every barrier listing the same distinct experts in the same
-order), its ratings go to `RatingPanel.from_rows` as rows, never keyed by cell.
+ends). Only a plain integer-rating file (three fields and a line break on
+every line; no quote, NUL or lone CR) that is also barrier-major (each
+barrier's lines together, every barrier listing the same distinct experts in
+the same order) skips the `csv.reader` loop: it is split in bulk and its
+ratings go to `RatingPanel.from_rows` as rows, with the same results and
+errors as the loop.
 
 JSON schemas:
   ratings: {"scale": ..., "barriers": [...], "experts": [...],
@@ -67,10 +68,16 @@ def detect_format(path: str | Path, explicit: str | None = None) -> str:
 
 def load_json(path: str | Path, what: str) -> dict[str, Any]:
     """Parse a UTF-8 JSON file that holds one object, the `what` that errors name; bad
-    bytes or syntax, or any other document, raise a `ValidationError` naming the file."""
+    bytes or syntax, an escape of an unpaired surrogate, which no UTF-8 output can hold,
+    or any other document raise a `ValidationError` naming the file."""
     with open(path, encoding="utf-8") as f:
         try:
-            doc = json.load(f)
+            doc = json.loads(text := f.read())
+            if "\\" in text:  # a lone surrogate needs a \u escape, so most files skip this
+                json.dumps(doc, ensure_ascii=False).encode()
+        except UnicodeEncodeError as exc:
+            bad = exc.object[exc.start]
+            raise ValidationError(f"{path}: invalid JSON: unpaired surrogate escape {bad!r}") from None
         except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an overlong integer
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
@@ -194,10 +201,10 @@ def _json_list(path: Path, doc: dict[str, Any], key: str) -> list:
 def _plain_int_ratings(
     path: Path, scale: LinguisticScale, mode: ValidationMode
 ) -> RatingPanel | None:
-    """The panel of a plain integer-rating CSV file, split in bulk; None for any other
-    file, or for a bad rating or a duplicate cell, which the `csv.reader` loop reads and
-    names by line. A barrier-major file (each barrier's lines together, listing the same
-    distinct experts in the same order) goes to the panel as rows, any other as a grid."""
+    """The panel of a plain, barrier-major integer-rating CSV file (each barrier's lines
+    together, listing the same distinct experts in the same order), split in bulk and given
+    to `RatingPanel.from_rows` as rows; None for any other file, or for a bad rating, which
+    the `csv.reader` loop reads and names by line."""
     try:
         with open(path, newline="", encoding="utf-8-sig") as f:
             text = f.read()
@@ -216,21 +223,17 @@ def _plain_int_ratings(
         return None
     bids, eids, raws = cells[0::3], cells[1::3], cells[2::3]
     del cells
+    heads = bids[::(ne := bids.count(bids[0]))]
+    if not (eids == eids[:ne] * len(heads) and len({*heads}) == len(heads)
+            and len({*eids[:ne]}) == ne and all(bids[j::ne] == heads for j in range(1, ne))):
+        return None
     try:
         parsed = {raw: scale.tfn(int(raw)) for raw in set(raws)}
     except ValueError:  # ValidationError included
         return None
-    heads = bids[::(ne := bids.count(bids[0]))]
-    if (eids == eids[:ne] * len(heads) and len({*heads}) == len(heads)
-            and len({*eids[:ne]}) == ne and all(bids[j::ne] == heads for j in range(1, ne))):
-        cells = tuple(map(parsed.__getitem__, raws))
-        rows = {bid: cells[k * ne:k * ne + ne] for k, bid in enumerate(heads)}
-        return _located(path, RatingPanel.from_rows, map(Barrier, heads), eids[:ne], rows, mode)
-    grid = dict(zip(zip(bids, eids), map(parsed.__getitem__, raws)))
-    if len(grid) != len(raws):
-        return None
-    return _located(path, RatingPanel, map(Barrier, dict.fromkeys(bids)), dict.fromkeys(eids),
-                    grid, mode)
+    cells = tuple(map(parsed.__getitem__, raws))
+    rows = {bid: cells[k * ne:k * ne + ne] for k, bid in enumerate(heads)}
+    return _located(path, RatingPanel.from_rows, map(Barrier, heads), eids[:ne], rows, mode)
 
 
 @_nogc
@@ -244,16 +247,14 @@ def read_ratings(
     fmt = detect_format(path, fmt)
     path = Path(path)
     grid: dict[tuple[str, str], TriangularFuzzyNumber] = {}
-    if fmt == "csv" and (
-            panel := _plain_int_ratings(path, scale or get_scale("delphi-10"), mode)) is not None:
-        return panel
     if fmt == "csv":
+        scale = scale or get_scale("delphi-10")
+        if (panel := _plain_int_ratings(path, scale, mode)) is not None:
+            return panel
         with open(path, newline="", encoding="utf-8-sig") as f:
             rows = _csv_rows(reader := csv.reader(f), path)
             header = next(rows)
             if header == RATINGS_INT_HEADER:
-                if scale is None:
-                    scale = get_scale("delphi-10")
                 parsed: dict[str, TriangularFuzzyNumber] = {}  # raw text -> TFN; no error is kept
                 for bid, eid, raw in rows:
                     key = (bid, eid)

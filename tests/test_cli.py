@@ -2,6 +2,7 @@
 import csv
 import io
 import json
+import os
 
 import pytest
 
@@ -95,6 +96,15 @@ class TestScreen:
         code, out, err = run(capsys, ["screen", "--ratings", str(f)])
         assert (code, out) == (2, "")
         assert err.startswith(f"error: {f} barriers[1]: bad barrier entry ['B']")
+
+    def test_a_file_name_that_is_not_utf8_is_shown_escaped(self, capsys, tmp_path):
+        f = tmp_path / os.fsdecode(b"r\xff.csv")
+        f.write_text("barrier_id,expert_id,rating\nA,E1,5\n", encoding="utf-8")
+        out = tmp_path / "o.json"
+        code, _, err = run(capsys, ["screen", "--ratings", str(f), "--output", str(out)])
+        assert (code, err) == (0, "")
+        doc = json.loads(out.read_text(encoding="utf-8"))
+        assert doc["inputs"]["ratings"]["path"] == f"{tmp_path}/r\\xff.csv"
 
     def test_fixed_threshold(self, capsys, tmp_path):
         f = tmp_path / "r.csv"

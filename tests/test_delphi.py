@@ -120,6 +120,23 @@ class TestPanelValidation:
             with pytest.raises(ValidationError, match=r"\(A, E2\) = \(2, -1, 1\) has negative"):
                 make_panel(rows, mode=mode)
 
+    def test_a_tfn_subclass_cannot_hide_a_bad_cell_from_the_bulk_check(self):
+        class Alike(TFN):  # every cell equal to every other: a set of them holds one
+            __slots__ = ()
+
+            def __eq__(self, other):
+                return True
+
+            def __hash__(self):
+                return 0
+
+        row = [Alike(1, 2, 3), Alike(2, -1, 1)]
+        keyed = {("A", "E1"): row[0], ("A", "E2"): row[1]}
+        for make in (lambda: RatingPanel(["A"], ["E1", "E2"], keyed),
+                     lambda: RatingPanel.from_rows(["A"], ["E1", "E2"], {"A": row})):
+            with pytest.raises(ValidationError, match=r"\(A, E2\) = \(2, -1, 1\) has negative"):
+                make()
+
     def test_lenient_warnings_follow_barrier_then_expert_order(self):
         rows = {"A": [TFN(3, 2, 4), TFN(1, 2, 3)], "B": [TFN(0, 2, 1), TFN(5, 4, 3)]}
         panel = make_panel(rows, mode=ValidationMode.LENIENT)

@@ -247,12 +247,12 @@ class TestRatingsCsv:
         assert read_ratings(barrier_major) == want and calls == []
         assert read_ratings(expert_major) == want and len(calls) == 1  # the wrapper counts
 
-    def test_an_expert_major_plain_file_is_split_in_bulk(self, tmp_path, monkeypatch):
+    def test_an_expert_major_plain_file_is_read_row_by_row(self, tmp_path, monkeypatch):
         p = self._large(tmp_path, "e.csv", False)
+        assert fdahp.io._plain_int_ratings(p, fdahp.DELPHI_10, ValidationMode.LENIENT) is None
         with monkeypatch.context() as m:
             m.setattr(fdahp.io, "_plain_int_ratings", lambda *args: None)
             want = read_ratings(p, mode="lenient")  # the csv.reader loop
-        monkeypatch.setattr(fdahp.io, "_csv_rows", None)  # the row-by-row reader is not used
         got = read_ratings(p, mode="lenient")
         assert got == want
         assert (got.barrier_ids[:2], got.experts[:2]) == (["P1", "P2"], ("E1", "E2"))
@@ -378,6 +378,16 @@ class TestRatingsJson:
         p.write_bytes(b'{"barriers": ["\xff"]}')
         with pytest.raises(ValidationError, match="invalid JSON: 'utf-8' codec"):
             read_ratings(p)
+
+    def test_only_an_unpaired_surrogate_escape_is_invalid(self, tmp_path):
+        text = '{"barriers": ["A%s"], "experts": ["E1"], ' \
+               '"ratings": [{"barrier_id": "A%s", "expert_id": "E1", "rating": 5}]}'
+        p = write(tmp_path, "r.json", text % ((r"\ud83d\ude00",) * 2))  # a pair: one character
+        assert read_ratings(p).barrier_ids == ["A\U0001f600"]
+        p = write(tmp_path, "r.json", text % ((r"\ud83d",) * 2))
+        with pytest.raises(ValidationError) as exc:
+            read_ratings(p)
+        assert str(exc.value) == f"{p}: invalid JSON: unpaired surrogate escape '\\ud83d'"
 
     def test_panel_errors_name_the_file(self, tmp_path):
         doc = {

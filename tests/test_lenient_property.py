@@ -238,6 +238,13 @@ _ROW = {("A", "E1"): TFN(1, 2, 3), ("A", "E2"): TFN(2, 3, 4)}
 @example((["A"], ["E1", "E2"], {("A", "E1"): _ROW["A", "E1"], ("A", "E3"): TFN(2, 3, 4)}), STRICT)
 @example((["A", "B"], ["E1", "E2"], {("A", "E1"): TFN(1, 2, 3), ("B", "E1"): TFN(2, 3, 4),
                                      ("A", "E2"): TFN(3, 4, 5), ("B", "E2"): TFN(4, 5, 6)}), STRICT)
+# expert-major keys with an unknown one beside a missing cell (so the dict is full size) or a
+# None cell: the bad cell is named, not the unknown key
+@example((["A", "B"], ["E1", "E2"], {("A", "E1"): TFN(1, 2, 3), ("B", "E1"): TFN(2, 3, 4),
+                                     ("A", "E2"): TFN(3, 4, 5), ("B", "Y"): TFN(4, 5, 6)}), STRICT)
+@example((["A", "B"], ["E1", "E2"], {("A", "E1"): TFN(1, 2, 3), ("B", "E1"): None,
+                                     ("A", "E2"): TFN(3, 4, 5), ("B", "E2"): TFN(4, 5, 6),
+                                     ("X", "E2"): TFN(2, 3, 4)}), LENIENT)
 def test_panel_matches_the_cell_walk(drawn, mode):
     bids, eids, ratings = drawn
     try:

@@ -1,8 +1,9 @@
 """The public surface: the pinned `fdahp.__all__`, every public class a tuple, an
 exception or an enum, every name the benchmark imports, no definition that only a
-test names, `build_matrix` as the one maker of a `PairwiseMatrix`, one
-geometric-mean kernel, one garbage-collector pause, and one short traced run of the
-benchmark harness."""
+test names, `build_matrix` as the one maker of a `PairwiseMatrix`,
+`RatingPanel._checked` as the one maker of a `RatingPanel`, one geometric-mean
+kernel, one garbage-collector pause, and one short traced run of the benchmark
+harness."""
 import ast
 import enum
 import importlib
@@ -117,6 +118,22 @@ def test_only_build_matrix_makes_a_pairwise_matrix():
                 if "PairwiseMatrix" in (getattr(node.func, "id", ""), getattr(node.func, "attr", "")):
                     callers.append(f"{path.stem}.{getattr(top, 'name', '<module>')}")
     assert callers == ["fahp.build_matrix"]
+
+
+def test_one_maker_of_a_rating_panel():
+    # RatingPanel._checked checks every cell of a panel it makes; another
+    # tuple.__new__(cls, ...) in the class could return cells it never checked
+    tree = ast.parse((PACKAGE / "delphi.py").read_text(encoding="utf-8"))
+    (panel,) = [n for n in tree.body if isinstance(n, ast.ClassDef) and n.name == "RatingPanel"]
+    makers = [
+        method.name
+        for method in panel.body if isinstance(method, ast.FunctionDef)
+        for node in ast.walk(method)
+        if isinstance(node, ast.Call) and isinstance(node.func, ast.Attribute)
+        and node.func.attr == "__new__" and getattr(node.func.value, "id", "") == "tuple"
+        and node.args and getattr(node.args[0], "id", "") == "cls"
+    ]
+    assert makers == ["_checked"]
 
 
 def _rewraps_validation_error(handler: ast.ExceptHandler) -> bool:
