@@ -5,7 +5,6 @@ Exit codes: 0 success, 1 verification failure, 2 validation error, 3 I/O error.
 from __future__ import annotations
 
 import argparse
-import json
 import sys
 import time
 from pathlib import Path
@@ -16,7 +15,7 @@ from .delphi import ThresholdStrategy, get_scale, screen
 from .errors import DatasetError, ValidationError, _located
 from .fahp import run_fahp
 from .io import _known_keys, load_json, read_matrix, read_ratings, write_matrix, write_ratings
-from .report import Report, file_digest
+from .report import Report, _json, file_digest
 from .tfn import ValidationMode
 from .verify import checks_passed, format_text, run_study_checks, to_json_dict
 
@@ -231,7 +230,7 @@ def cmd_paper_verify(args: argparse.Namespace) -> int:
     study = load_paper_study()
     checks = run_study_checks(study)
     if args.emit == "json":
-        text = json.dumps(to_json_dict(study, checks), indent=2, ensure_ascii=False) + "\n"
+        text = _json(to_json_dict(study, checks)) + "\n"
     else:
         text = format_text(study, checks)
     _write_out(text, args.output)

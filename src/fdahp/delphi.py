@@ -310,6 +310,12 @@ def compute_threshold(
     return _fsum(scores.values(), "mean threshold: the sum of the scores overflows") / len(scores)
 
 
+# Under the mean strategy, a score within this many ulps of the float threshold is decided
+# against the exact mean: the sum and the division by the count are each correctly rounded,
+# so the float mean may sit an ulp or two off the exact one, on either side of a tied score.
+MEAN_TIE_ULPS = 4
+
+
 def screen(
     panel: RatingPanel,
     strategy: ThresholdStrategy = ThresholdStrategy.mean(),
@@ -325,7 +331,7 @@ def screen(
     threshold = compute_threshold(scores, strategy)
     selected = {bid: s >= threshold for bid, s in scores.items()}
     if strategy.kind == "mean":
-        band = 4 * math.ulp(threshold)
+        band = MEAN_TIE_ULPS * math.ulp(threshold)
         if near := [bid for bid, s in scores.items() if abs(s - threshold) <= band]:
             from fractions import Fraction  # only on this path: it is slow to import
 

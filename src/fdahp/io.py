@@ -37,6 +37,7 @@ from __future__ import annotations
 
 import csv
 import json
+from functools import partial
 from itertools import zip_longest
 from pathlib import Path
 from typing import Any, Iterator, Sequence
@@ -69,17 +70,23 @@ def detect_format(path: str | Path, explicit: str | None = None) -> str:
 def load_json(path: str | Path, what: str) -> dict[str, Any]:
     """Parse a UTF-8 JSON file that holds one object, the `what` that errors name; bad
     bytes or syntax, an escape of an unpaired surrogate, which no UTF-8 output can hold,
-    or any other document raise a `ValidationError` naming the file."""
+    nesting too deep for the parser, an integer over the interpreter's digit limit, or
+    any other document raise a `ValidationError` naming the file. The texts of the last
+    two are fixed, since the interpreter's own differ by version."""
     with open(path, encoding="utf-8") as f:
         try:
             doc = json.loads(text := f.read())
             if "\\" in text:  # a lone surrogate needs a \u escape, so most files skip this
                 json.dumps(doc, ensure_ascii=False).encode()
+        except RecursionError:
+            raise ValidationError(f"{path}: invalid JSON: nested too deeply") from None
         except UnicodeEncodeError as exc:
             bad = exc.object[exc.start]
             raise ValidationError(f"{path}: invalid JSON: unpaired surrogate escape {bad!r}") from None
-        except ValueError as exc:  # JSONDecodeError, UnicodeDecodeError, or an overlong integer
+        except (json.JSONDecodeError, UnicodeDecodeError) as exc:
             raise ValidationError(f"{path}: invalid JSON: {exc}") from None
+        except ValueError:  # an integer with more digits than int() may convert
+            raise ValidationError(f"{path}: invalid JSON: an integer has too many digits") from None
     if not isinstance(doc, dict):
         raise ValidationError(f"{path}: {what} must be a JSON object")
     return doc
@@ -95,10 +102,10 @@ def _known_keys(path: str | Path, where: str, obj: dict, known: tuple[str, ...])
             raise ValidationError(f"{path}: unknown key {where + key!r}{hint}")
 
 
-def _csv_rows(reader: Any, path: Path) -> Iterator[list[str] | None]:
+def _csv_rows(reader: Any, path: Path) -> Iterator[list[str]]:
     """Yield the header, then each non-blank data row, of a `csv.reader`.
 
-    The header is yielded without its trailing empty fields (None for an
+    The header is yielded without its trailing empty fields ([] for an
     empty file); the caller checks it before asking for rows. A data row that
     is short or has an empty field raises; so do non-empty fields beyond the
     header, while trailing empty ones are dropped. Rows are yielded
@@ -106,11 +113,11 @@ def _csv_rows(reader: Any, path: Path) -> Iterator[list[str] | None]:
     `reader.line_num` is the physical line on which that row ends.
     """
     try:
-        header = next(reader, None)
+        header = next(reader, [])
         while header and not header[-1]:
             header.pop()
         yield header
-        width = len(header)  # type: ignore[arg-type]
+        width = len(header)
         for row in reader:
             if len(row) != width or "" in row:
                 if not row:
@@ -118,7 +125,7 @@ def _csv_rows(reader: Any, path: Path) -> Iterator[list[str] | None]:
                 line = reader.line_num
                 if len(row) < width or "" in row[:width]:
                     # the record as csv.DictReader builds it: None for missing fields
-                    rec: dict = dict(zip_longest(header, row[:width]))  # type: ignore[arg-type]
+                    rec: dict = dict(zip_longest(header, row[:width]))
                     if row[width:]:
                         rec[None] = row[width:]
                     raise ValidationError(f"{path} line {line}: incomplete row {rec}")
@@ -143,14 +150,15 @@ def _parse_float(path: Path, line: int, fieldname: str, raw: str) -> float:
         ) from None
 
 
-def _parse_tfn_fields(path: Path, reader: Any, l: str, m: str, u: str) -> TriangularFuzzyNumber:
-    """The TFN of the l, m, u fields of the row `reader` last read; errors name its line."""
+def _parse_tfn_fields(path: Path, reader: Any, row: list[str]) -> TriangularFuzzyNumber:
+    """The TFN of the l, m, u fields, the last three, of the `row` that `reader` last read;
+    errors name its line."""
     try:
-        return TFN(float(l), float(m), float(u))
+        return TFN(float(row[-3]), float(row[-2]), float(row[-1]))
     except ValueError:  # ValidationError included
         pass  # name the first bad field, in l, m, u order
     line = reader.line_num
-    values = [_parse_float(path, line, k, raw) for k, raw in zip("lmu", (l, m, u))]
+    values = [_parse_float(path, line, k, raw) for k, raw in zip("lmu", row[-3:])]
     return _located(f"{path} line {line}", TFN, *values)
 
 
@@ -256,29 +264,23 @@ def read_ratings(
             header = next(rows)
             if header == RATINGS_INT_HEADER:
                 parsed: dict[str, TriangularFuzzyNumber] = {}  # raw text -> TFN; no error is kept
-                for bid, eid, raw in rows:
-                    key = (bid, eid)
-                    if key in grid:
-                        raise ValidationError(
-                            f"{path} line {reader.line_num}: duplicate rating for ({bid}, {eid})"
-                        )
-                    t = parsed.get(raw)
-                    if t is None:
+                def cell(row: list[str]) -> TriangularFuzzyNumber:
+                    if (t := parsed.get(raw := row[2])) is None:
                         t = parsed[raw] = _scale_rating(path, reader.line_num, scale, raw)
-                    grid[key] = t
+                    return t
             elif header == RATINGS_TFN_HEADER:
-                for bid, eid, l, m, u in rows:
-                    key = (bid, eid)
-                    if key in grid:
-                        raise ValidationError(
-                            f"{path} line {reader.line_num}: duplicate rating for ({bid}, {eid})"
-                        )
-                    grid[key] = _parse_tfn_fields(path, reader, l, m, u)
+                cell = partial(_parse_tfn_fields, path, reader)
             else:
                 raise ValidationError(
-                    f"{path} line 1: unexpected ratings header {header or []}; "
+                    f"{path} line 1: unexpected ratings header {header}; "
                     f"expected {RATINGS_INT_HEADER} or {RATINGS_TFN_HEADER}"
                 )
+            for row in rows:
+                if (key := (row[0], row[1])) in grid:
+                    raise ValidationError(
+                        f"{path} line {reader.line_num}: duplicate rating for ({', '.join(key)})"
+                    )
+                grid[key] = cell(row)
         if not grid:
             raise ValidationError(f"{path}: no rating rows")
         # grid keys are in row order, so these keep each id's first-seen position
@@ -330,8 +332,7 @@ def read_matrix(
                 raise ValidationError(
                     f"{path} line 1: unexpected matrix header {header}; expected {MATRIX_HEADER}"
                 )
-            entries = [(rid, cid, _parse_tfn_fields(path, reader, l, m, u))
-                       for rid, cid, l, m, u in rows]
+            entries = [(row[0], row[1], _parse_tfn_fields(path, reader, row)) for row in rows]
         if not entries:
             raise ValidationError(f"{path}: no matrix rows")
         criteria = list(dict.fromkeys(x for rid, cid, _ in entries for x in (rid, cid)))

@@ -88,52 +88,42 @@ def serialize_warnings(
 
 
 def _json(v: Any, indent: str = "") -> str:
-    """`json.dumps(v, indent=2, ensure_ascii=False)` for `v` nested at `indent`; bools,
-    non-finite floats and other rare values go to `json.dumps`."""
-    t = type(v)
-    if t is str:
-        return encode_basestring(v)
-    if t is float and math.isfinite(v) or t is int:
-        return repr(v)
-    if v is None:
-        return "null"
-    if t in (list, tuple, dict) and not v:  # indented json.dumps leaves cyclic garbage
-        return "{}" if t is dict else "[]"
-    inner = indent + "  "
-    sep = ",\n" + inner
-    if t is dict and all(type(k) is str for k in v):
-        # str values and finite float items, the bulk of a report, skip the recursive call
-        body = sep.join([f"{encode_basestring(k)}: "
-                         f"{encode_basestring(x) if type(x) is str else _json(x, inner)}"
-                         for k, x in v.items()])
-        return f"{{\n{inner}{body}\n{indent}}}"
-    if t is list:
-        return f"[\n{inner}{sep.join(_column(v, inner))}\n{indent}]"
-    # JSON text holds no raw newline, so re-indenting its lines is exact
-    return json.dumps(v, indent=2, ensure_ascii=False).replace("\n", "\n" + indent)
+    """`json.dumps(v, indent=2, ensure_ascii=False)` for `v` nested at `indent`."""
+    return _column((v,), indent)[0]
 
 
 def _column(col: Sequence, indent: str) -> list[str]:
     """`[_json(x, indent) for x in col]`, in one pass when all values are str, exact int
     or finite float (a mixed int and float column goes value by value: isfinite overflows
     on a huge int), or through one %-template when all are lists of one non-zero length
-    or non-empty dicts of one str-key order."""
+    or non-empty dicts of one str-key order; a single list's items are one column. Only a
+    lone None, bool, non-finite float or empty or other container goes to `json.dumps`."""
     types = set(map(type, col))
-    if types == {str}:
+    t = types.pop() if len(types) == 1 else None
+    if t is str:
         return list(map(encode_basestring, col))
-    if types == {int} or types == {float} and all(map(math.isfinite, col)):
+    if t is int or t is float and all(map(math.isfinite, col)):
         return list(map(repr, col))
     inner = indent + "  "
-    if types == {list} and len(sizes := set(map(len, col))) == 1 and 0 not in sizes:
+    if t is list and len(sizes := set(map(len, col))) == 1 and 0 not in sizes:
+        if len(col) == 1:
+            return [f"[\n{inner}" + f",\n{inner}".join(_column(col[0], inner)) + f"\n{indent}]"]
         tmpl = f"[\n{inner}%s" + f",\n{inner}%s" * (sizes.pop() - 1) + f"\n{indent}]"
         return list(map(tmpl.__mod__, zip(*[_column(c, inner) for c in zip(*col)])))
-    if (types == {dict} and len(orders := set(map(tuple, col))) == 1 and (keys := orders.pop())
+    if (t is dict and len(orders := set(map(tuple, col))) == 1 and (keys := orders.pop())
             and all(type(k) is str for k in keys)):
         fields = [f"{encode_basestring(k).replace('%', '%%')}: %s" for k in keys]
         tmpl = f"{{\n{inner}" + f",\n{inner}".join(fields) + f"\n{indent}}}"
         values = zip(*map(dict.values, col))
         return list(map(tmpl.__mod__, zip(*[_column(c, inner) for c in values])))
-    return [_json(x, indent) for x in col]
+    if len(col) != 1:
+        return [_json(x, indent) for x in col]
+    (v,) = col
+    # an indented json.dumps leaves cyclic garbage, so only a non-empty container gets one;
+    # JSON text holds no raw newline, so re-indenting its lines is exact
+    text = json.dumps(v, indent=2 if v and isinstance(v, (list, tuple, dict)) else None,
+                      ensure_ascii=False)
+    return [text.replace("\n", "\n" + indent)]
 
 
 def _one_line(text: str) -> str:

@@ -2,8 +2,8 @@
 exception or an enum, every name the benchmark imports, no definition that only a
 test names, `build_matrix` as the one maker of a `PairwiseMatrix`,
 `RatingPanel._checked` as the one maker of a `RatingPanel`, one geometric-mean
-kernel, one garbage-collector pause, and one short traced run of the benchmark
-harness."""
+kernel, one garbage-collector pause, one JSON writer, and one short traced run of
+the benchmark harness."""
 import ast
 import enum
 import importlib
@@ -205,6 +205,26 @@ def test_one_gc_pause():
     assert paused == {  # each turns a whole input into a panel or a matrix
         "io.read_ratings", "io.read_matrix", "fahp.build_matrix",
     }
+
+
+def test_one_json_writer():
+    # report._column writes every JSON value of a report and of paper-verify; a second
+    # writer could drift from its bytes. Each other json.dump(s) is reviewed here.
+    sites = sorted(
+        f"{path.stem}.{getattr(top, 'name', '<module>')}"
+        for path in PACKAGE.glob("*.py")
+        for top in ast.parse(path.read_text(encoding="utf-8")).body
+        for node in ast.walk(top)
+        if isinstance(node, ast.Attribute) and node.attr in ("dump", "dumps")
+        and getattr(node.value, "id", "") == "json"
+        or isinstance(node, ast.ImportFrom) and node.module == "json"
+        and any(alias.name in ("dump", "dumps") for alias in node.names)
+    )
+    assert sites == [
+        "io._write_json",  # the export files, whose bytes stay ASCII-escaped
+        "io.load_json",  # the unpaired-surrogate check re-encodes the parsed input
+        "report._column",  # its fallback: a lone None, bool, non-finite float or rare container
+    ]
 
 
 def test_traced_benchmark_run_is_correct_and_reports_every_layer():
