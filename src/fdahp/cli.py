@@ -12,7 +12,7 @@ from pathlib import Path
 from . import __version__
 from .dataset import load_paper_study, renumber_selected, sequential_renumber_map
 from .delphi import ThresholdStrategy, get_scale, screen
-from .errors import DatasetError, ValidationError, _located
+from .errors import DatasetError, ValidationError, _located, _shown
 from .fahp import run_fahp
 from .io import _known_keys, load_json, read_matrix, read_ratings, write_matrix, write_ratings
 from .report import Report, _json, file_digest
@@ -132,10 +132,10 @@ def cmd_rank(args: argparse.Namespace) -> int:
 
 def _checked(message: str, ok):
     """A config parser that returns a value for which `ok(value)` holds, and raises
-    `message`, formatted with the value, for any other."""
+    `message`, formatted with the value as `_shown` prints it, for any other."""
     def parse(value):
         if not ok(value):
-            raise ValidationError(message.format(value))
+            raise ValidationError(message.format(_shown(value)))
         return value
     return parse
 
@@ -143,12 +143,12 @@ def _checked(message: str, ok):
 # Each pipeline-config option, in the order it is checked: its value when absent, and the
 # parser of a given value. Besides these, a config holds the `ratings` and `matrix` inputs.
 CONFIG_OPTIONS = {
-    "tie_break": ("index", _checked("unsupported tie_break {!r}", lambda v: v == "index")),
+    "tie_break": ("index", _checked("unsupported tie_break {}", lambda v: v == "index")),
     "renumber": ("sequential", _checked("renumber must be 'sequential' or 'none'",
                                         lambda v: v in ("sequential", "none"))),
     "emit": ("json", _checked("emit must be one of json, csv, md",
                               lambda v: v in ("json", "csv", "md"))),
-    "output": (None, _checked("output must be a string, got {!r}",
+    "output": (None, _checked("output must be a string, got {}",
                               lambda v: v is None or isinstance(v, str))),
     "threshold": (ThresholdStrategy.mean(), ThresholdStrategy.parse),
     "mode": (ValidationMode.STRICT, ValidationMode.parse),
@@ -168,14 +168,14 @@ def _load_pipeline_config(path: str) -> dict:
             raise ValidationError(f"{path}: config needs {key}.path")
         _known_keys(path, f"{key}.", src, ("path", "format"))
         if not isinstance(src["path"], str):
-            raise ValidationError(f"{path}: {key}.path must be a string, got {src['path']!r}")
+            raise ValidationError(f"{path}: {key}.path must be a string, got {_shown(src['path'])}")
         if src.get("format") not in (None, "csv", "json"):
             raise ValidationError(
-                f"{path}: {key}.format must be 'csv' or 'json', got {src['format']!r}"
+                f"{path}: {key}.format must be 'csv' or 'json', got {_shown(src['format'])}"
             )
         if src["path"].startswith("derive:"):
             raise ValidationError(
-                f"{path}: {key}.path={src['path']!r} is not supported; a comparison "
+                f"{path}: {key}.path={_shown(src['path'])} is not supported; a comparison "
                 "matrix must be supplied as a file, it is never derived"
             )
         loaded[key] = (src["path"], src.get("format"))

@@ -12,7 +12,7 @@ from collections import namedtuple
 from itertools import chain, product, repeat
 from typing import Mapping, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 from .tfn import (
     TFN,
     TriangularFuzzyNumber,
@@ -65,7 +65,7 @@ class LinguisticScale(namedtuple("LinguisticScale", "name entries")):
             return self.entries[rating]
         except KeyError:
             raise ValidationError(
-                f"rating {rating!r} is not on scale {self.name!r} (valid: 1..{len(self.entries)})"
+                f"rating {_shown(rating)} is not on scale {self.name!r} (valid: 1..{len(self.entries)})"
             ) from None
 
 
@@ -95,7 +95,7 @@ def get_scale(name: str) -> LinguisticScale:
         return SCALES[name]
     except (KeyError, TypeError):  # TypeError: an unhashable name, e.g. a JSON list
         raise ValidationError(
-            f"unknown linguistic scale {name!r} (available: {sorted(SCALES)})"
+            f"unknown linguistic scale {_shown(name)} (available: {sorted(SCALES)})"
         ) from None
 
 
@@ -238,15 +238,15 @@ class ThresholdStrategy(namedtuple("ThresholdStrategy", "kind value")):
     def parse(cls, text: str) -> "ThresholdStrategy":
         """Accepts 'mean' or 'fixed:<value>'."""
         if not isinstance(text, str):
-            raise ValidationError(f"threshold strategy must be a string, got {text!r}")
+            raise ValidationError(f"threshold strategy must be a string, got {_shown(text)}")
         if text == "mean":
             return cls.mean()
         if text.startswith("fixed:"):
             try:
                 return cls.fixed(float(text.split(":", 1)[1]))
             except ValueError:
-                raise ValidationError(f"bad fixed threshold in {text!r}") from None
-        raise ValidationError(f"unknown threshold strategy {text!r}; use 'mean' or 'fixed:<value>'")
+                raise ValidationError(f"bad fixed threshold in {_shown(text)}") from None
+        raise ValidationError(f"unknown threshold strategy {_shown(text)}; use 'mean' or 'fixed:<value>'")
 
     def __str__(self) -> str:
         return self.kind if self.kind == "mean" else f"fixed:{self.value:g}"

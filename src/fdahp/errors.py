@@ -1,5 +1,6 @@
-"""Exception types, and the call wrappers, shared across the package."""
+"""Exception types, and the call wrappers and value display that the package's errors share."""
 import gc
+import reprlib
 from functools import wraps
 
 
@@ -25,6 +26,18 @@ def _located(where: object, build, *args):
         return build(*args)
     except ValidationError as exc:
         raise ValidationError(f"{where}: {exc}") from None
+
+
+_SHOWN = reprlib.Repr()
+_SHOWN.maxstring = _SHOWN.maxlong = _SHOWN.maxother = _SHOWN_CHARS = 50
+
+
+def _shown(value: object) -> str:
+    """`repr(value)` for an error text, cut to _SHOWN_CHARS, well above any value the golden
+    cases show: reprlib elides a long string or integer in its middle and a container after
+    its first items or levels (a dict's keys sorted), and the rest is cut."""
+    text = _SHOWN.repr(value)
+    return text if len(text) <= _SHOWN_CHARS else text[:_SHOWN_CHARS - 3] + "..."
 
 
 def _nogc(func):

@@ -43,13 +43,15 @@ from pathlib import Path
 from typing import Any, Iterator, Sequence
 
 from .delphi import Barrier, LinguisticScale, RatingPanel, get_scale
-from .errors import ValidationError, _located, _nogc
+from .errors import ValidationError, _located, _nogc, _shown
 from .fahp import PairwiseMatrix, build_matrix
 from .tfn import TFN, TriangularFuzzyNumber, ValidationMode
 
 RATINGS_INT_HEADER = ["barrier_id", "expert_id", "rating"]
 RATINGS_TFN_HEADER = ["barrier_id", "expert_id", "l", "m", "u"]
 MATRIX_HEADER = ["row_id", "col_id", "l", "m", "u"]
+# how every CSV input is opened: UTF-8 with an optional byte-order mark, as Excel writes it
+_CSV_TEXT = {"newline": "", "encoding": "utf-8-sig"}
 # the bytes csv reads as field text: all but its separators, its quote and NUL
 _FIELD_BYTES = bytes(sorted(set(range(256)) - set(b',\n\r"\0')))
 
@@ -99,77 +101,65 @@ def _known_keys(path: str | Path, where: str, obj: dict, known: tuple[str, ...])
             from difflib import get_close_matches  # only on this error path
             near = get_close_matches(key, known, 1)
             hint = f" (did you mean {where + near[0]!r}?)" if near else ""
-            raise ValidationError(f"{path}: unknown key {where + key!r}{hint}")
+            raise ValidationError(f"{path}: unknown key {_shown(where + key)}{hint}")
 
 
-def _csv_rows(reader: Any, path: Path) -> Iterator[list[str]]:
-    """Yield the header, then each non-blank data row, of a `csv.reader`.
+def _csv_rows(path: Path, kind: str, *headers: list[str]) -> Iterator[Any]:
+    """Open the CSV table at `path`; yield `(header, reader)`, then each non-blank data row.
 
-    The header is yielded without its trailing empty fields ([] for an
-    empty file); the caller checks it before asking for rows. A data row that
-    is short or has an empty field raises; so do non-empty fields beyond the
-    header, while trailing empty ones are dropped. Rows are yielded
-    header-wide. This never reads ahead, so while the caller holds a row,
-    `reader.line_num` is the physical line on which that row ends.
+    The header loses its trailing empty fields ([] for an empty file) and must be one of
+    `headers`; the error names the table's `kind`. A data row that is short or has an
+    empty field raises; so do non-empty fields beyond the header, while trailing empty
+    ones are dropped. Rows are yielded header-wide. This never reads ahead, so while the
+    caller holds a row, `reader.line_num` is the physical line on which that row ends.
     """
-    try:
-        header = next(reader, [])
-        while header and not header[-1]:
-            header.pop()
-        yield header
-        width = len(header)
-        for row in reader:
-            if len(row) != width or "" in row:
-                if not row:
-                    continue
-                line = reader.line_num
-                if len(row) < width or "" in row[:width]:
-                    # the record as csv.DictReader builds it: None for missing fields
-                    rec: dict = dict(zip_longest(header, row[:width]))
-                    if row[width:]:
-                        rec[None] = row[width:]
-                    raise ValidationError(f"{path} line {line}: incomplete row {rec}")
-                if any(row[width:]):
-                    raise ValidationError(
-                        f"{path} line {line}: non-empty fields beyond the header: {row[width:]}"
-                    )
-                row = row[:width]
-            yield row
-    except UnicodeDecodeError as exc:
-        raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
-    except csv.Error as exc:
-        raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
-
-
-def _parse_float(path: Path, line: int, fieldname: str, raw: str) -> float:
-    try:
-        return float(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{path} line {line}: field {fieldname!r} is not a number: {raw!r}"
-        ) from None
+    with open(path, **_CSV_TEXT) as f:
+        reader = csv.reader(f)
+        try:
+            header = next(reader, [])
+            while header and not header[-1]:
+                header.pop()
+            if header not in headers:
+                raise ValidationError(f"{path} line 1: unexpected {kind} header {header}; "
+                                      f"expected {' or '.join(map(str, headers))}")
+            yield header, reader
+            width = len(header)
+            for row in reader:
+                if len(row) != width or "" in row:
+                    if not row:
+                        continue
+                    line = reader.line_num
+                    if len(row) < width or "" in row[:width]:
+                        # the record as csv.DictReader builds it: None for missing fields
+                        rec: dict = dict(zip_longest(header, row[:width]))
+                        if row[width:]:
+                            rec[None] = row[width:]
+                        raise ValidationError(f"{path} line {line}: incomplete row {rec}")
+                    if any(row[width:]):
+                        raise ValidationError(
+                            f"{path} line {line}: non-empty fields beyond the header: {row[width:]}"
+                        )
+                    row = row[:width]
+                yield row
+        except UnicodeDecodeError as exc:
+            raise ValidationError(f"{path}: not UTF-8 text: {exc.reason}") from None
+        except csv.Error as exc:
+            raise ValidationError(f"{path} line {reader.line_num}: {exc}") from None
 
 
 def _parse_tfn_fields(path: Path, reader: Any, row: list[str]) -> TriangularFuzzyNumber:
     """The TFN of the l, m, u fields, the last three, of the `row` that `reader` last read;
-    errors name its line."""
+    errors name its line and the first bad field, in l, m, u order."""
     try:
         return TFN(float(row[-3]), float(row[-2]), float(row[-1]))
     except ValueError:  # ValidationError included
-        pass  # name the first bad field, in l, m, u order
-    line = reader.line_num
-    values = [_parse_float(path, line, k, raw) for k, raw in zip("lmu", row[-3:])]
-    return _located(f"{path} line {line}", TFN, *values)
-
-
-def _scale_rating(path: Path, line: int, scale: LinguisticScale, raw: str) -> TriangularFuzzyNumber:
-    try:
-        rating = int(raw)
-    except ValueError:
-        raise ValidationError(
-            f"{path} line {line}: field 'rating' is not an integer: {raw!r}"
-        ) from None
-    return _located(f"{path} line {line}", scale.tfn, rating)
+        where = f"{path} line {reader.line_num}"
+    for name, raw in zip("lmu", row[-3:]):
+        try:
+            float(raw)
+        except ValueError:
+            raise ValidationError(f"{where}: field {name!r} is not a number: {raw!r}") from None
+    return _located(where, TFN, *map(float, row[-3:]))
 
 
 def _json_tfn(t) -> TriangularFuzzyNumber:
@@ -191,7 +181,7 @@ def _parse_barrier_list(where: str, items: Sequence[Any]) -> list[Barrier]:
             out.append(Barrier(str(item["id"]), str(item.get("name", ""))))
         else:
             raise ValidationError(
-                f"{where}[{k}]: bad barrier entry {item!r}; expected id string or object"
+                f"{where}[{k}]: bad barrier entry {_shown(item)}; expected id string or object"
             )
     return out
 
@@ -214,7 +204,7 @@ def _plain_int_ratings(
     to `RatingPanel.from_rows` as rows; None for any other file, or for a bad rating, which
     the `csv.reader` loop reads and names by line."""
     try:
-        with open(path, newline="", encoding="utf-8-sig") as f:
+        with open(path, **_CSV_TEXT) as f:
             text = f.read()
     except UnicodeDecodeError:
         return None
@@ -259,28 +249,27 @@ def read_ratings(
         scale = scale or get_scale("delphi-10")
         if (panel := _plain_int_ratings(path, scale, mode)) is not None:
             return panel
-        with open(path, newline="", encoding="utf-8-sig") as f:
-            rows = _csv_rows(reader := csv.reader(f), path)
-            header = next(rows)
-            if header == RATINGS_INT_HEADER:
-                parsed: dict[str, TriangularFuzzyNumber] = {}  # raw text -> TFN; no error is kept
-                def cell(row: list[str]) -> TriangularFuzzyNumber:
-                    if (t := parsed.get(raw := row[2])) is None:
-                        t = parsed[raw] = _scale_rating(path, reader.line_num, scale, raw)
-                    return t
-            elif header == RATINGS_TFN_HEADER:
-                cell = partial(_parse_tfn_fields, path, reader)
-            else:
+        rows = _csv_rows(path, "ratings", RATINGS_INT_HEADER, RATINGS_TFN_HEADER)
+        header, reader = next(rows)
+        if header == RATINGS_INT_HEADER:
+            parsed: dict[str, TriangularFuzzyNumber] = {}  # raw text -> TFN; no error is kept
+            def cell(row: list[str]) -> TriangularFuzzyNumber:
+                if (t := parsed.get(raw := row[2])) is None:
+                    try:
+                        rating = int(raw)
+                    except ValueError:
+                        raise ValidationError(f"{path} line {reader.line_num}: field 'rating' "
+                                              f"is not an integer: {raw!r}") from None
+                    t = parsed[raw] = _located(f"{path} line {reader.line_num}", scale.tfn, rating)
+                return t
+        else:
+            cell = partial(_parse_tfn_fields, path, reader)
+        for row in rows:
+            if (key := (row[0], row[1])) in grid:
                 raise ValidationError(
-                    f"{path} line 1: unexpected ratings header {header}; "
-                    f"expected {RATINGS_INT_HEADER} or {RATINGS_TFN_HEADER}"
+                    f"{path} line {reader.line_num}: duplicate rating for ({', '.join(key)})"
                 )
-            for row in rows:
-                if (key := (row[0], row[1])) in grid:
-                    raise ValidationError(
-                        f"{path} line {reader.line_num}: duplicate rating for ({', '.join(key)})"
-                    )
-                grid[key] = cell(row)
+            grid[key] = cell(row)
         if not grid:
             raise ValidationError(f"{path}: no rating rows")
         # grid keys are in row order, so these keep each id's first-seen position
@@ -305,7 +294,7 @@ def read_ratings(
                     grid[key] = _json_tfn(rec["tfn"])
                 elif "rating" in rec:
                     if type(rating := rec["rating"]) is not int:
-                        raise ValidationError(f"rating must be an integer, got {rating!r}")
+                        raise ValidationError(f"rating must be an integer, got {_shown(rating)}")
                     grid[key] = scale.tfn(rating)
                 else:
                     raise ValidationError("needs either 'rating' or 'tfn'")
@@ -325,14 +314,9 @@ def read_matrix(
     fmt = detect_format(path, fmt)
     path = Path(path)
     if fmt == "csv":
-        with open(path, newline="", encoding="utf-8-sig") as f:
-            rows = _csv_rows(reader := csv.reader(f), path)
-            header = next(rows)
-            if header != MATRIX_HEADER:
-                raise ValidationError(
-                    f"{path} line 1: unexpected matrix header {header}; expected {MATRIX_HEADER}"
-                )
-            entries = [(row[0], row[1], _parse_tfn_fields(path, reader, row)) for row in rows]
+        rows = _csv_rows(path, "matrix", MATRIX_HEADER)
+        _, reader = next(rows)
+        entries = [(row[0], row[1], _parse_tfn_fields(path, reader, row)) for row in rows]
         if not entries:
             raise ValidationError(f"{path}: no matrix rows")
         criteria = list(dict.fromkeys(x for rid, cid, _ in entries for x in (rid, cid)))

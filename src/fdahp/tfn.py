@@ -12,7 +12,7 @@ from enum import Enum
 from itertools import starmap
 from typing import Iterable, NamedTuple, Sequence
 
-from .errors import ValidationError
+from .errors import ValidationError, _shown
 
 
 class ValidationMode(Enum):
@@ -27,12 +27,12 @@ class ValidationMode(Enum):
         if isinstance(text, cls):
             return text
         if not isinstance(text, str):
-            raise ValidationError(f"validation mode must be a string, got {text!r}")
+            raise ValidationError(f"validation mode must be a string, got {_shown(text)}")
         try:
             return cls(text.lower())
         except ValueError:
             raise ValidationError(
-                f"unknown validation mode {text!r}; expected 'strict' or 'lenient'"
+                f"unknown validation mode {_shown(text)}; expected 'strict' or 'lenient'"
             ) from None
 
 

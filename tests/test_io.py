@@ -1,13 +1,17 @@
-"""CSV/JSON ingestion: schema detection, error naming, both rating paths, and the
-garbage-collector pause of each whole-file reader."""
+"""CSV/JSON ingestion: schema detection, error naming, both rating paths, no file left
+open by a failed read, bounded values in error texts, and the garbage-collector pause
+of each whole-file reader."""
 import gc
 import json
+import re
+import warnings
 from functools import partial
 
 import pytest
 
 import fdahp.io
 from fdahp import TFN, RatingPanel, ValidationError
+from fdahp.errors import _shown
 from fdahp.io import detect_format, read_matrix, read_ratings, write_matrix, write_ratings
 from fdahp.tfn import ValidationMode
 from helpers import cell, collections_inside
@@ -322,6 +326,25 @@ def test_csv_errors_name_the_physical_line_after_a_multi_line_field(tmp_path, ki
     with pytest.raises(ValidationError) as exc:
         (read_matrix if kind == "matrix" else read_ratings)(p)
     assert str(exc.value) == f"{p} {message}"
+
+
+# io._csv_rows opens the file, so an error raised while the caller holds a row, or in the
+# header check, must still close it
+@pytest.mark.parametrize("reader, text, message", [
+    (read_ratings, "barrier_id,expert_id,l,m,u\nA,E1,1,2,3\nA,E1,1,2,3\n",
+     "line 3: duplicate rating for (A, E1)"),
+    (read_matrix, "row_id,col_id,l,m,u\nA,B,1,2,3\nB,A,1,x,3\n",
+     "line 3: field 'm' is not a number"),
+    (read_matrix, "row,col,l,m,u\nA,B,1,2,3\n", "line 1: unexpected matrix header"),
+], ids=["duplicate", "bad m", "bad header"])
+def test_a_csv_that_fails_mid_file_leaves_no_open_file(tmp_path, reader, text, message):
+    p = write(tmp_path, "f.csv", text)
+    with warnings.catch_warnings(record=True) as caught:
+        warnings.simplefilter("always", ResourceWarning)
+        with pytest.raises(ValidationError, match=re.escape(message)):
+            reader(p)
+        gc.collect()
+    assert [str(w.message) for w in caught if issubclass(w.category, ResourceWarning)] == []
 
 
 class TestRatingsJson:
@@ -663,6 +686,24 @@ def test_json_unknown_key_is_named(tmp_path, reader, doc, message):
     with pytest.raises(ValidationError) as exc:
         reader(p)
     assert str(exc.value) == f"{p}: {message}"
+
+
+# an error shows a bad input value as repr does, cut short: each kind of value the golden
+# cases show reads as its repr, and a wide or deep one stays within 50 characters
+@pytest.mark.parametrize("value", [
+    "delphi-7", "derive:delphi", "s" * 48, 5, -3, 5.0, True, None, [5], ["B"], {}, {"name": "x"},
+])
+def test_a_short_value_is_shown_as_its_repr(value):
+    assert _shown(value) == repr(value)
+
+
+@pytest.mark.parametrize("value", [
+    "x" * 20_000, "s" * 49, [0] * 20_000, [["y" * 100] * 8] * 8, {f"k{i}": i for i in range(1_000)},
+    10 ** 4_000, [[[[[[[[[[0]]]]]]]]]],
+], ids=["long text", "text one past", "wide list", "wide nested", "wide dict", "long int", "deep"])
+def test_a_long_value_is_shown_short(value):
+    shown = _shown(value)
+    assert len(shown) <= 50 and "..." in shown
 
 
 class TestCollectorPause:

@@ -2,8 +2,8 @@
 exception or an enum, every name the benchmark imports, no definition that only a
 test names, `build_matrix` as the one maker of a `PairwiseMatrix`,
 `RatingPanel._checked` as the one maker of a `RatingPanel`, one geometric-mean
-kernel, one garbage-collector pause, one JSON writer, and one short traced run of
-the benchmark harness."""
+kernel, one garbage-collector pause, one JSON writer, one CSV table reader, and one
+short traced run of the benchmark harness."""
 import ast
 import enum
 import importlib
@@ -225,6 +225,25 @@ def test_one_json_writer():
         "io.load_json",  # the unpaired-surrogate check re-encodes the parsed input
         "report._column",  # its fallback: a lone None, bool, non-finite float or rare container
     ]
+
+
+def test_one_csv_table_reader():
+    # io._csv_rows opens, decodes and header-checks every CSV table read row by row, and
+    # io._CSV_TEXT holds the decode arguments that it and the bulk route share
+    readers, decodes = [], []
+    for path in sorted(PACKAGE.glob("*.py")):
+        for top in ast.parse(path.read_text(encoding="utf-8")).body:
+            name = (getattr(top.targets[0], "id", "<module>") if isinstance(top, ast.Assign)
+                    else getattr(top, "name", "<module>"))
+            for node in ast.walk(top):
+                if (isinstance(node, ast.Attribute) and node.attr == "reader"
+                        and getattr(node.value, "id", "") == "csv"
+                        or isinstance(node, ast.ImportFrom) and node.module == "csv"):
+                    readers.append(f"{path.stem}.{name}")
+                elif isinstance(node, ast.Constant) and node.value == "utf-8-sig":
+                    decodes.append(f"{path.stem}.{name}")
+    assert readers == ["io._csv_rows"]
+    assert decodes == ["io._CSV_TEXT"]
 
 
 def test_traced_benchmark_run_is_correct_and_reports_every_layer():
